@@ -8,6 +8,20 @@
 
 namespace rex::core {
 
+namespace {
+
+/// Recycled per-worker decrypt target, emptied for each message: the
+/// engine's math phase runs one node per worker at a time and every opened
+/// payload is decoded out of it before the next open, so one buffer per
+/// thread serves every node without a per-message allocation.
+Bytes& plaintext_scratch() {
+  static thread_local Bytes plaintext;
+  plaintext.clear();
+  return plaintext;
+}
+
+}  // namespace
+
 TrustedNode::TrustedNode(const RexConfig& config, NodeId id,
                          enclave::Runtime& runtime,
                          const enclave::EnclaveIdentity& identity,
@@ -117,20 +131,23 @@ std::array<std::uint8_t, 8> TrustedNode::frame_aad(NodeId sender,
   return aad;
 }
 
-Bytes TrustedNode::seal_framed(enclave::AttestationSession& session,
-                               NodeId peer, bool resync_plane,
-                               BytesView plaintext) {
+SharedBytes TrustedNode::seal_framed(enclave::AttestationSession& session,
+                                     NodeId peer, bool resync_plane,
+                                     BytesView plaintext) {
   const std::uint64_t seq = resync_plane
                                 ? session.next_resync_send_sequence()
                                 : session.next_send_sequence();
   const crypto::ChaChaNonce nonce = resync_plane
                                         ? session.resync_send_nonce_for(seq)
                                         : session.send_nonce_for(seq);
-  Bytes wire(sizeof seq);
+  Bytes wire = payload_pool_ != nullptr ? payload_pool_->acquire() : Bytes{};
+  wire.resize(sizeof seq);
   store_le64(wire.data(), seq);
-  append(wire, crypto::aead_seal(session.session_key(), nonce,
-                                 frame_aad(id_, peer), plaintext));
-  return wire;
+  crypto::aead_seal_into(session.session_key(), nonce, frame_aad(id_, peer),
+                         plaintext, wire);
+  return payload_pool_ != nullptr
+             ? SharedBytes::pooled(*payload_pool_, std::move(wire))
+             : SharedBytes::wrap(std::move(wire));
 }
 
 bool TrustedNode::split_frame(BytesView blob, std::uint64_t& seq,
@@ -212,11 +229,11 @@ void TrustedNode::send_resync(NodeId peer, const ProtocolPayload& payload) {
       payload.encode(payload_pool_ ? payload_pool_->acquire() : Bytes{});
   if (runtime_.secure()) {
     REX_REQUIRE(attested_with(peer), "resync with unattested peer");
-    Bytes wire = seal_framed(session(peer), peer, /*resync_plane=*/true,
-                             plaintext);
+    SharedBytes wire = seal_framed(session(peer), peer,
+                                   /*resync_plane=*/true, plaintext);
     runtime_.record_crypto(wire.size());
     runtime_.record_ocall(wire.size());
-    send_(peer, net::MessageKind::kResync, SharedBytes::wrap(std::move(wire)));
+    send_(peer, net::MessageKind::kResync, std::move(wire));
     if (payload_pool_ != nullptr) payload_pool_->release(std::move(plaintext));
     return;
   }
@@ -249,15 +266,16 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
     }
     auto& sess = session(src);
     runtime_.record_crypto(blob.size());
-    const std::optional<Bytes> opened =
-        crypto::aead_open(sess.session_key(), sess.resync_recv_nonce_for(seq),
-                          frame_aad(src, id_), ciphertext);
-    if (!opened.has_value() || !sess.accept_resync_recv_sequence(seq)) {
+    Bytes& plaintext = plaintext_scratch();
+    if (!crypto::aead_open_into(sess.session_key(),
+                                sess.resync_recv_nonce_for(seq),
+                                frame_aad(src, id_), ciphertext, plaintext) ||
+        !sess.accept_resync_recv_sequence(seq)) {
       ++resync_discarded_;
       input_pool_.push_back(std::move(input));
       return;
     }
-    ProtocolPayload::decode_into(*opened, input.payload);
+    ProtocolPayload::decode_into(plaintext, input.payload);
   } else {
     ProtocolPayload::decode_into(blob, input.payload);
   }
@@ -443,25 +461,27 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
     // Current session first, then the stale key a re-attestation left
     // behind — the message may have been sealed before the sender learned
     // of the rejoin. No session and no stale key = fail closed, as before.
-    std::optional<Bytes> opened;
+    Bytes& plaintext = plaintext_scratch();
+    bool opened = false;
     bool from_stale = false;
     if (sess.attested()) {
-      opened = crypto::aead_open(sess.session_key(), sess.recv_nonce_for(seq),
-                                 aad, ciphertext);
+      opened = crypto::aead_open_into(sess.session_key(),
+                                      sess.recv_nonce_for(seq), aad,
+                                      ciphertext, plaintext);
     }
-    if (!opened.has_value()) {
+    if (!opened) {
       const auto stale = stale_keys_.find(src);
       if (stale != stale_keys_.end()) {
         const crypto::ChaChaNonce nonce = crypto::nonce_from_sequence(
             seq, src < id_ ? 0u : 1u);  // same direction rule as the session
-        opened =
-            crypto::aead_open(stale->second.key, nonce, aad, ciphertext);
-        from_stale = opened.has_value();
+        opened = crypto::aead_open_into(stale->second.key, nonce, aad,
+                                        ciphertext, plaintext);
+        from_stale = opened;
       }
     }
     REX_REQUIRE(sess.attested() || stale_keys_.count(src) != 0,
                 "protocol message from unattested peer");  // fail closed
-    if (!opened.has_value()) {
+    if (!opened) {
       // Once this pair's keys have rotated (a rejoin replaced the session),
       // an unopenable message is a churn race, not tampering: sealed under
       // a key more than one rotation old, or under a half-open handshake's
@@ -481,7 +501,7 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
         input_pool_.push_back(std::move(input));
         return;
       }
-      REX_REQUIRE(opened.has_value(),
+      REX_REQUIRE(opened,
                   "authenticated decryption failed: tampered payload");
     }
     // Stream-level replay rejection: a position at or below the watermark
@@ -507,8 +527,8 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
     } else {
       REX_REQUIRE(sess.accept_recv_sequence(seq), "replayed secure payload");
     }
-    plaintext_size = opened->size();
-    ProtocolPayload::decode_into(*opened, input.payload);
+    plaintext_size = plaintext.size();
+    ProtocolPayload::decode_into(plaintext, input.payload);
   } else {
     // Native runs decode straight off the (shared, immutable) wire buffer —
     // no plaintext staging copy per delivery.
@@ -858,12 +878,12 @@ void TrustedNode::share_with(std::span<const NodeId> dsts, Bytes plaintext) {
       // Explicit-sequence framing (DESIGN.md §6): the position travels in
       // cleartext so a receiver that lost messages to an outage still
       // derives the right nonce.
-      Bytes wire = seal_framed(session(dst), dst, /*resync_plane=*/false,
-                               plaintext);
+      SharedBytes wire = seal_framed(session(dst), dst,
+                                     /*resync_plane=*/false, plaintext);
       runtime_.record_crypto(wire.size());
       runtime_.record_ocall(wire.size());
       ++counters_.messages_sent;
-      send_(dst, net::MessageKind::kProtocol, SharedBytes::wrap(std::move(wire)));
+      send_(dst, net::MessageKind::kProtocol, std::move(wire));
     }
     if (payload_pool_ != nullptr) payload_pool_->release(std::move(plaintext));
     return;

@@ -280,10 +280,12 @@ class TrustedNode {
   [[nodiscard]] static std::array<std::uint8_t, 8> frame_aad(NodeId sender,
                                                              NodeId receiver);
   /// Seals `plaintext` for `peer`, allocating the next position on the
-  /// session's protocol or resync send stream.
-  [[nodiscard]] Bytes seal_framed(enclave::AttestationSession& session,
-                                  NodeId peer, bool resync_plane,
-                                  BytesView plaintext);
+  /// session's protocol or resync send stream. The frame is written into
+  /// one buffer from the payload pool (when there is one) that returns to
+  /// it once the receiver consumed the envelope.
+  [[nodiscard]] SharedBytes seal_framed(enclave::AttestationSession& session,
+                                        NodeId peer, bool resync_plane,
+                                        BytesView plaintext);
   /// Splits a framed blob into (seq, ciphertext); false = truncated.
   [[nodiscard]] static bool split_frame(BytesView blob, std::uint64_t& seq,
                                         BytesView& ciphertext);

@@ -17,13 +17,25 @@ namespace rex::crypto {
 inline constexpr std::size_t kAeadTagSize = kPolyTagSize;
 inline constexpr std::size_t kAeadOverhead = kAeadTagSize;
 
-/// Encrypts `plaintext`, authenticating `aad` too. Output layout:
-/// ciphertext || 16-byte tag.
+/// Encrypts `plaintext`, authenticating `aad` too, and appends
+/// ciphertext || 16-byte tag to `out` (which must not alias the inputs).
+/// The share path seals straight into a pooled wire buffer this way.
+void aead_seal_into(const ChaChaKey& key, const ChaChaNonce& nonce,
+                    BytesView aad, BytesView plaintext, Bytes& out);
+
+/// Verifies `sealed` (ciphertext || tag) and only then appends the
+/// plaintext to `out`. On authentication failure (wrong key/nonce/aad or
+/// tampered ciphertext) returns false with `out` untouched, so no
+/// unauthenticated byte is ever written.
+[[nodiscard]] bool aead_open_into(const ChaChaKey& key,
+                                  const ChaChaNonce& nonce, BytesView aad,
+                                  BytesView sealed, Bytes& out);
+
+/// aead_seal_into a fresh buffer.
 [[nodiscard]] Bytes aead_seal(const ChaChaKey& key, const ChaChaNonce& nonce,
                               BytesView aad, BytesView plaintext);
 
-/// Verifies and decrypts. Returns nullopt on authentication failure (wrong
-/// key/nonce/aad or tampered ciphertext).
+/// aead_open_into a fresh buffer; nullopt on authentication failure.
 [[nodiscard]] std::optional<Bytes> aead_open(const ChaChaKey& key,
                                              const ChaChaNonce& nonce,
                                              BytesView aad, BytesView sealed);

@@ -119,13 +119,14 @@ void AttestationSession::derive_session_key() {
     state_ = AttestationState::kFailed;
     return;
   }
-  // Symmetric derivation: both sides bind the (ordered) pair of node ids.
-  Bytes info = to_bytes("rex-session-v1");
+  // Symmetric derivation: both sides bind the (ordered) pair of full
+  // 32-bit node ids, so no two pairs share an info string at any scale.
+  Bytes info = to_bytes("rex-session-v2");
   const NodeId lo = std::min(self_, peer_), hi = std::max(self_, peer_);
-  info.push_back(static_cast<std::uint8_t>(lo >> 8));
-  info.push_back(static_cast<std::uint8_t>(lo));
-  info.push_back(static_cast<std::uint8_t>(hi >> 8));
-  info.push_back(static_cast<std::uint8_t>(hi));
+  const std::size_t at = info.size();
+  info.resize(at + 8);
+  store_le32(info.data() + at, lo);
+  store_le32(info.data() + at + 4, hi);
   const Bytes okm = crypto::hkdf(to_bytes("rex-attest"),
                                  BytesView(shared.data(), shared.size()),
                                  info, session_key_.size());

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -142,11 +143,31 @@ SimEngine::SchedulerStats SimEngine::scheduler_stats() const {
 void SimEngine::run_attestation() {
   if (rex_.security == enclave::SecurityMode::kNative) return;
   const std::size_t n = hosts_.size();
-  for (core::NodeId id = 0; id < n; ++id) {
-    std::vector<core::NodeId> neighbors(topology_.neighbors(id).begin(),
-                                        topology_.neighbors(id).end());
-    hosts_[id].start_attestation(neighbors);
-  }
+  // Each node touches only its own sessions, DRBG and outbox, and
+  // flush_round routes in sender order, so both phases run on the pool
+  // (key generation first, then every delivery step) with output
+  // identical at any worker count. Shards rather than run_barrier_round's
+  // static blocks: the lower id of a pair initiates, so a step's X25519
+  // work is skewed towards one end of the id range.
+  pool_.parallel_shards(n, [&](std::size_t id) {
+    const auto node = static_cast<core::NodeId>(id);
+    hosts_[id].start_attestation(std::vector<core::NodeId>(
+        topology_.neighbors(node).begin(), topology_.neighbors(node).end()));
+  });
+  // Delivers every inbox; true if any envelope arrived.
+  const auto deliver_all = [&] {
+    std::atomic<bool> any_delivered{false};
+    pool_.parallel_shards(n, [&](std::size_t id) {
+      static thread_local std::vector<net::Envelope> drained;
+      transport_.drain_inbox(static_cast<core::NodeId>(id), drained);
+      if (!drained.empty()) {
+        any_delivered.store(true, std::memory_order_relaxed);
+      }
+      for (const net::Envelope& env : drained) hosts_[id].on_deliver(env);
+      drained.clear();  // release payload refs before the next node
+    });
+    return any_delivered.load(std::memory_order_relaxed);
+  };
   // The 3-message handshake needs 3 delivery steps; allow slack for odd
   // schedules, then verify. Each step is one kAttestStep event; the clock
   // does not advance (attestation precedes simulated time in both modes).
@@ -159,28 +180,14 @@ void SimEngine::run_attestation() {
     --non_query_queued_;
     ++events_processed_;
     transport_.flush_round();
-    bool any_delivered = false;
-    for (core::NodeId id = 0; id < n; ++id) {
-      transport_.drain_inbox(id, drain_scratch_);
-      for (const net::Envelope& env : drain_scratch_) {
-        hosts_[id].on_deliver(env);
-        any_delivered = true;
-      }
-      drain_scratch_.clear();  // release payload refs before the next drain
-    }
+    const bool any_delivered = deliver_all();
     ++attestation_rounds_;
     if (any_delivered && attestation_rounds_ < kMaxSteps) {
       schedule(clock_, 0, EventKind::kAttestStep);
     }
   }
   transport_.flush_round();  // deliver stragglers of the final step
-  for (core::NodeId id = 0; id < n; ++id) {
-    transport_.drain_inbox(id, drain_scratch_);
-    for (const net::Envelope& env : drain_scratch_) {
-      hosts_[id].on_deliver(env);
-    }
-    drain_scratch_.clear();
-  }
+  (void)deliver_all();
   for (core::NodeId id = 0; id < n; ++id) {
     REX_REQUIRE(hosts_[id].trusted().fully_attested(),
                 "mutual attestation failed for node " + std::to_string(id));

@@ -595,9 +595,6 @@ class SimEngine {
   std::vector<GroupRef> group_refs_;
   std::uint64_t batch_stamp_ = 0;
   std::vector<core::NodeId> batch_nodes_;
-  /// Recycled attestation drain buffer (one per engine; the attestation
-  /// loop is single-threaded).
-  std::vector<net::Envelope> drain_scratch_;
 
   /// Lean-memory shared test buffer (Config::lean_memory; DESIGN.md §10):
   /// every node's test ratings concatenated once, handed to the enclaves

@@ -4,10 +4,13 @@
 //  - HKDF: RFC 5869
 //  - ChaCha20, Poly1305, AEAD: RFC 8439
 //  - X25519: RFC 7748
-// plus property tests (round-trips, tamper detection, DH commutativity).
+// plus property tests (round-trips, tamper detection, DH commutativity) and
+// keystream-backend equivalence: the AVX2 ChaCha20 picked by the
+// linalg::simd dispatcher must be byte-equal to the scalar reference.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
@@ -16,10 +19,37 @@
 #include "crypto/poly1305.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
+#include "linalg/simd_kernels.hpp"
 #include "support/bytes.hpp"
+#include "support/rng.hpp"
 
 namespace rex::crypto {
 namespace {
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
+  return bytes;
+}
+
+Bytes keystream_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
+                    std::uint32_t counter, BytesView in) {
+  Bytes out(in.size());
+  chacha20_xor(key, nonce, counter, in, out.data());
+  return out;
+}
+
+/// Runs `op` under the dispatched keystream backend, then under the scalar
+/// reference (the REX_SCALAR_KERNELS path), restoring the dispatch after.
+template <class Op>
+std::pair<Bytes, Bytes> under_both_backends(Op&& op) {
+  const linalg::simd::Backend dispatched = linalg::simd::active_backend();
+  Bytes vector_out = op();
+  linalg::simd::set_backend(linalg::simd::Backend::kScalar);
+  Bytes scalar_out = op();
+  linalg::simd::set_backend(dispatched);
+  return {std::move(vector_out), std::move(scalar_out)};
+}
 
 std::string digest_hex(const Sha256Digest& d) {
   return hex_encode(BytesView(d.data(), d.size()));
@@ -159,7 +189,7 @@ TEST(ChaCha20, Rfc8439Encryption) {
   const std::string plaintext =
       "Ladies and Gentlemen of the class of '99: If I could offer you "
       "only one tip for the future, sunscreen would be it.";
-  const Bytes ct = chacha20_xor(key, nonce, 1, to_bytes(plaintext));
+  const Bytes ct = keystream_xor(key, nonce, 1, to_bytes(plaintext));
   EXPECT_EQ(hex_encode(ct),
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
             "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
@@ -172,8 +202,65 @@ TEST(ChaCha20, XorIsInvolution) {
       "1111111111111111111111111111111111111111111111111111111111111111");
   const ChaChaNonce nonce{};
   const Bytes msg = to_bytes("raw data sharing redemption");
-  EXPECT_EQ(chacha20_xor(key, nonce, 7, chacha20_xor(key, nonce, 7, msg)),
+  EXPECT_EQ(keystream_xor(key, nonce, 7, keystream_xor(key, nonce, 7, msg)),
             msg);
+}
+
+TEST(ChaCha20, BackendsByteEqualOverEveryTailShape) {
+  // Every length 0..1100 covers each 8-block chunk count up to two and
+  // every block and byte remainder after it.
+  Rng rng(21);
+  Drbg drbg(21);
+  const ChaChaKey key = drbg.next_key();
+  const ChaChaNonce nonce = nonce_from_sequence(9, 0);
+  const Bytes msg = random_bytes(rng, 1100);
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const BytesView in(msg.data(), len);
+    const auto [vector_out, scalar_out] =
+        under_both_backends([&] { return keystream_xor(key, nonce, 1, in); });
+    ASSERT_EQ(vector_out, scalar_out) << "length " << len;
+  }
+}
+
+TEST(ChaCha20, BackendsByteEqualOnLongMessages) {
+  Rng rng(22);
+  Drbg drbg(22);
+  for (int trial = 0; trial < 24; ++trial) {
+    const ChaChaKey key = drbg.next_key();
+    const ChaChaNonce nonce = nonce_from_sequence(rng.next_u64(), 1);
+    const auto counter = static_cast<std::uint32_t>(rng.uniform(1u << 20));
+    const Bytes msg = random_bytes(rng, rng.uniform(70 * 1024 + 1));
+    const auto [vector_out, scalar_out] = under_both_backends(
+        [&] { return keystream_xor(key, nonce, counter, msg); });
+    ASSERT_EQ(vector_out, scalar_out)
+        << "length " << msg.size() << " counter " << counter;
+  }
+}
+
+TEST(ChaCha20, CounterWrapMatchesBlockFunction) {
+  // RFC 8439's block counter is 32 bits: a message that runs past 2^32 - 1
+  // continues at block 0 of the same nonce. Both backends must wrap there,
+  // block for block, like chacha20_block itself.
+  Rng rng(23);
+  Drbg drbg(23);
+  const ChaChaKey key = drbg.next_key();
+  const ChaChaNonce nonce = nonce_from_sequence(77, 0);
+  const Bytes msg = random_bytes(rng, 1100);
+  for (std::uint32_t back = 0; back <= 17; ++back) {
+    const std::uint32_t counter = 0xffffffffu - back;
+    const auto [vector_out, scalar_out] = under_both_backends(
+        [&] { return keystream_xor(key, nonce, counter, msg); });
+    ASSERT_EQ(vector_out, scalar_out) << "counter " << counter;
+    for (std::size_t at = 0; at < msg.size(); at += 64) {
+      std::uint8_t block[64];
+      chacha20_block(key, counter + static_cast<std::uint32_t>(at / 64),
+                     nonce, block);
+      for (std::size_t i = at; i < std::min(msg.size(), at + 64); ++i) {
+        ASSERT_EQ(vector_out[i], msg[i] ^ block[i - at])
+            << "counter " << counter << " byte " << i;
+      }
+    }
+  }
 }
 
 TEST(Poly1305, Rfc8439Vector) {
@@ -183,6 +270,24 @@ TEST(Poly1305, Rfc8439Vector) {
       poly1305(key, to_bytes("Cryptographic Forum Research Group"));
   EXPECT_EQ(hex_encode(BytesView(tag.data(), tag.size())),
             "a8061dc1305136c6c22b8baf0c0127a9");
+}
+
+TEST(Poly1305, StreamingMatchesRfcVectorAtEverySplit) {
+  const auto key = array_from_hex<32>(
+      "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+  const Bytes msg = to_bytes("Cryptographic Forum Research Group");
+  const std::string expected = "a8061dc1305136c6c22b8baf0c0127a9";
+  for (std::size_t first = 0; first <= msg.size(); ++first) {
+    for (std::size_t second = first; second <= msg.size(); ++second) {
+      Poly1305 mac(key);
+      mac.update(BytesView(msg.data(), first));
+      mac.update(BytesView(msg.data() + first, second - first));
+      mac.update(BytesView(msg.data() + second, msg.size() - second));
+      const PolyTag tag = mac.finish();
+      ASSERT_EQ(hex_encode(BytesView(tag.data(), tag.size())), expected)
+          << "splits at " << first << ", " << second;
+    }
+  }
 }
 
 TEST(Poly1305, BlockBoundaries) {
@@ -228,6 +333,72 @@ TEST(Aead, DetectsTampering) {
     EXPECT_FALSE(aead_open(key, nonce, aad, corrupted).has_value())
         << "byte " << i;
   }
+}
+
+TEST(Aead, SealIntoAppendsTheSealedBytes) {
+  Rng rng(31);
+  Drbg drbg(31);
+  const ChaChaKey key = drbg.next_key();
+  const ChaChaNonce nonce = nonce_from_sequence(4, 0);
+  const Bytes aad = random_bytes(rng, 8);
+  for (std::size_t len : {0u, 1u, 100u, 3244u}) {
+    const Bytes plaintext = random_bytes(rng, len);
+    Bytes out = to_bytes("header");
+    aead_seal_into(key, nonce, aad, plaintext, out);
+    Bytes expected = to_bytes("header");
+    append(expected, aead_seal(key, nonce, aad, plaintext));
+    EXPECT_EQ(out, expected) << len;
+    // The sealed bytes do not depend on the keystream backend.
+    const auto [vector_out, scalar_out] = under_both_backends(
+        [&] { return aead_seal(key, nonce, aad, plaintext); });
+    EXPECT_EQ(vector_out, scalar_out) << len;
+  }
+}
+
+TEST(Aead, OpenIntoFailsClosedOnAnyFlippedBit) {
+  // A flipped tag, ciphertext or aad bit must fail verification and leave
+  // the caller's buffer exactly as it was: verification runs before any
+  // plaintext byte is written.
+  Rng rng(32);
+  Drbg drbg(32);
+  const ChaChaKey key = drbg.next_key();
+  const ChaChaNonce nonce = nonce_from_sequence(6, 1);
+  const Bytes aad = random_bytes(rng, 8);
+  const Bytes plaintext = random_bytes(rng, 700);
+  const Bytes sealed = aead_seal(key, nonce, aad, plaintext);
+  const Bytes sentinel(5, 0xAB);
+
+  Bytes out = sentinel;
+  ASSERT_TRUE(aead_open_into(key, nonce, aad, sealed, out));
+  Bytes expected = sentinel;
+  append(expected, plaintext);
+  EXPECT_EQ(out, expected);
+
+  const auto expect_rejected = [&](BytesView bad_aad, BytesView bad_sealed,
+                                   std::size_t bit) {
+    Bytes target = sentinel;
+    EXPECT_FALSE(aead_open_into(key, nonce, bad_aad, bad_sealed, target))
+        << "bit " << bit;
+    EXPECT_EQ(target, sentinel) << "bit " << bit;
+  };
+  const std::size_t ct_bits = (sealed.size() - kAeadTagSize) * 8;
+  for (std::size_t bit = 0; bit < sealed.size() * 8; ++bit) {
+    // Every tag bit; every seventh ciphertext bit keeps the sweep short.
+    if (bit < ct_bits && bit % 7 != 0) continue;
+    Bytes corrupted = sealed;
+    corrupted[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_rejected(aad, corrupted, bit);
+  }
+  for (std::size_t bit = 0; bit < aad.size() * 8; ++bit) {
+    Bytes corrupted = aad;
+    corrupted[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_rejected(corrupted, sealed, bit);
+  }
+  Bytes target = sentinel;
+  EXPECT_FALSE(aead_open_into(key, nonce, aad,
+                              BytesView(sealed.data(), kAeadTagSize - 1),
+                              target));
+  EXPECT_EQ(target, sentinel);
 }
 
 TEST(Aead, DetectsWrongKeyNonceAad) {

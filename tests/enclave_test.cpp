@@ -253,6 +253,29 @@ TEST(Attestation, SessionKeysEncryptTraffic) {
   EXPECT_NE(a.resync_send_nonce_for(seq), nonce_tx);
 }
 
+TEST(Attestation, SessionKeyBindsFullPeerIds) {
+  // Peers 4464 and 70000 share their low 16 bits (0x1170). With identical
+  // DRBG seeds both handshakes reach the same X25519 secret, so only the
+  // HKDF info string can tell the two pairs' session keys apart.
+  ASSERT_EQ(4464u & 0xffffu, 70000u & 0xffffu);
+  const auto handshake_key = [](NodeId peer) {
+    AttestationRig rig;
+    AttestationSession a(1, peer, rig.identity, &rig.qe_a, &rig.verifier,
+                         &rig.drbg_a);
+    AttestationSession b(peer, 1, rig.identity, &rig.qe_b, &rig.verifier,
+                         &rig.drbg_b);
+    const auto q_b = b.handle(a.initiate());
+    EXPECT_TRUE(q_b.has_value());
+    const auto q_a = a.handle(*q_b);
+    EXPECT_TRUE(q_a.has_value());
+    (void)b.handle(*q_a);
+    EXPECT_TRUE(a.attested() && b.attested());
+    EXPECT_EQ(a.session_key(), b.session_key());
+    return a.session_key();
+  };
+  EXPECT_NE(handshake_key(4464), handshake_key(70000));
+}
+
 TEST(Attestation, RejectsRogueMeasurement) {
   // A "rogue" enclave running different code: quotes verify as genuine SGX
   // but the measurement differs from ours -> fail (§III-A).

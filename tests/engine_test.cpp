@@ -78,6 +78,50 @@ TEST(EngineDeterminism, EventRmwWithDynamicsIdenticalAcrossThreadCounts) {
   expect_identical(run_scenario(serial), run_scenario(parallel));
 }
 
+/// Secure-mode twin of the thread-count cells: attestation (run on the
+/// pool) and the sealed share path must be as deterministic as native
+/// runs, down to per-node traffic and the attestation step count.
+void expect_secure_identical_across_thread_counts(Scenario scenario) {
+  scenario.rex.security = enclave::SecurityMode::kSgxSimulated;
+  scenario.threads = 1;
+  ScenarioInputs serial_inputs;
+  Simulator serial = make_scenario_simulator(scenario, serial_inputs);
+  serial.run(scenario.epochs);
+  scenario.threads = 4;
+  ScenarioInputs parallel_inputs;
+  Simulator parallel = make_scenario_simulator(scenario, parallel_inputs);
+  parallel.run(scenario.epochs);
+
+  expect_identical(serial.result(), parallel.result());
+  EXPECT_GT(serial.attestation_rounds(), 0u);
+  EXPECT_EQ(serial.attestation_rounds(), parallel.attestation_rounds());
+  ASSERT_EQ(serial.node_count(), parallel.node_count());
+  for (core::NodeId id = 0; id < serial.node_count(); ++id) {
+    EXPECT_TRUE(serial.host(id).trusted().fully_attested()) << id;
+    EXPECT_TRUE(parallel.host(id).trusted().fully_attested()) << id;
+    const net::TrafficStats& a = serial.transport().stats(id);
+    const net::TrafficStats& b = parallel.transport().stats(id);
+    EXPECT_EQ(a.messages_sent, b.messages_sent) << id;
+    EXPECT_EQ(a.messages_received, b.messages_received) << id;
+    EXPECT_EQ(a.bytes_sent, b.bytes_sent) << id;
+    EXPECT_EQ(a.bytes_received, b.bytes_received) << id;
+  }
+}
+
+TEST(EngineDeterminism, SecureBarrierDpsgdIdenticalAcrossThreadCounts) {
+  expect_secure_identical_across_thread_counts(engine_scenario());
+}
+
+TEST(EngineDeterminism, SecureEventRmwWithDynamicsIdenticalAcrossThreadCounts) {
+  Scenario s = engine_scenario();
+  s.rex.algorithm = core::Algorithm::kRmw;
+  s.engine_mode = EngineMode::kEventDriven;
+  s.dynamics.speed_lognormal_sigma = 0.5;
+  s.dynamics.straggler_probability = 0.2;
+  s.dynamics.straggler_lognormal_sigma = 0.8;
+  expect_secure_identical_across_thread_counts(s);
+}
+
 TEST(EngineDeterminism, EventModeRepeatable) {
   Scenario s = engine_scenario();
   s.rex.algorithm = core::Algorithm::kRmw;
