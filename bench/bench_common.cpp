@@ -19,10 +19,16 @@ namespace {
 
 [[noreturn]] void usage_and_exit(const std::string& bench_name,
                                  const std::string& description,
+                                 const std::vector<std::string>& names,
                                  int exit_code) {
+  std::printf("%s — %s\n\n", bench_name.c_str(), description.c_str());
+  if (!names.empty()) {
+    std::printf("Usage: %s [flags] [name...]   (no names = all)\nNames:",
+                bench_name.c_str());
+    for (const std::string& name : names) std::printf(" %s", name.c_str());
+    std::printf("\n\n");
+  }
   std::printf(
-      "%s — %s\n"
-      "\n"
       "Flags:\n"
       "  --paper-scale   full paper scale (610 nodes / 15k users); slow\n"
       "  --epochs N      override the epoch count\n"
@@ -36,8 +42,7 @@ namespace {
       "  --smoke         reduced CI smoke scale (seconds, not minutes)\n"
       "  --mega-scale    >=100k-node lean-memory cell (bench_async_stragglers)\n"
       "  --node-csv-sample N  write every Nth node in per-node CSVs\n"
-      "  --help          this text\n",
-      bench_name.c_str(), description.c_str());
+      "  --help          this text\n");
   std::exit(exit_code);
 }
 
@@ -48,14 +53,15 @@ constexpr double kDefaultOneUserScale = 128.0 / 610.0;
 }  // namespace
 
 Options parse_options(int argc, char** argv, const std::string& bench_name,
-                      const std::string& description) {
+                      const std::string& description,
+                      const std::vector<std::string>& names) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next_value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value after %s\n", arg.c_str());
-        usage_and_exit(bench_name, description, 2);
+        usage_and_exit(bench_name, description, names, 2);
       }
       return argv[++i];
     };
@@ -89,10 +95,12 @@ Options parse_options(int argc, char** argv, const std::string& bench_name,
       // An explicit 0 is nonsense; treat it as a full dump.
       if (options.node_csv_sample == 0) options.node_csv_sample = 1;
     } else if (arg == "--help" || arg == "-h") {
-      usage_and_exit(bench_name, description, 0);
+      usage_and_exit(bench_name, description, names, 0);
+    } else if (std::find(names.begin(), names.end(), arg) != names.end()) {
+      options.names.push_back(arg);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      usage_and_exit(bench_name, description, 2);
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      usage_and_exit(bench_name, description, names, 2);
     }
   }
   return options;
@@ -216,7 +224,8 @@ sim::Scenario sgx_scenario(const Options& options, core::Algorithm algorithm,
     // buffers, allocator slack, code). To reproduce the same *occupancy
     // regime*, the simulated EPC budget is set so the D-PSGD MS run lands
     // ~1.4x beyond it and REX stays below it, mirroring Fig 7 / Table IV
-    // (204 MiB vs 93.5 MiB, and 45.9-53.9 MiB for REX). See EXPERIMENTS.md.
+    // (204 MiB vs 93.5 MiB, and 45.9-53.9 MiB for REX). See README.md
+    // "Reproducing the paper".
     scenario.rex.epc.available_bytes = 16ull << 20;
     scenario.rex.epc.total_bytes = 22ull << 20;
   }
@@ -226,13 +235,17 @@ sim::Scenario sgx_scenario(const Options& options, core::Algorithm algorithm,
   return scenario;
 }
 
-sim::ExperimentResult run_logged(const sim::Scenario& scenario) {
+sim::ExperimentResult run_logged(const sim::Scenario& scenario,
+                                 std::size_t centralized_epochs) {
   const std::string label =
       scenario.label.empty() ? sim::scenario_label(scenario) : scenario.label;
   std::fprintf(stderr, "  running %-28s ...", label.c_str());
   std::fflush(stderr);
   const auto start = std::chrono::steady_clock::now();
-  sim::ExperimentResult result = sim::run_scenario(scenario);
+  sim::ExperimentResult result =
+      centralized_epochs > 0
+          ? sim::run_scenario_centralized(scenario, centralized_epochs)
+          : sim::run_scenario(scenario);
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();

@@ -1,4 +1,4 @@
-// Shared infrastructure for the per-figure/per-table bench binaries.
+// Shared infrastructure for the bench binaries.
 //
 // Every bench accepts the same flags:
 //   --paper-scale   run at the paper's full scale (610 nodes / 15k users /
@@ -10,10 +10,12 @@
 //   --wan PROFILE   per-edge WAN link profile (lan | wan | geo); consumed
 //                   by the benches that model networks (bench_async_stragglers)
 //
+// bench_paper also takes experiment names as positional arguments.
+//
 // The default scales are chosen so the complete bench suite finishes in
 // minutes on a laptop while preserving every shape the paper reports
-// (orderings, crossovers, orders of magnitude). EXPERIMENTS.md records the
-// paper-vs-measured comparison for both scales.
+// (orderings, crossovers, orders of magnitude). README.md "Reproducing the
+// paper" records the paper-vs-measured comparison.
 #pragma once
 
 #include <optional>
@@ -60,6 +62,9 @@ struct Options {
   /// default and the full 100k-row dump is opt-in via an explicit
   /// --node-csv-sample 1 (DESIGN.md §10).
   std::size_t node_csv_sample = 0;
+  /// Positional arguments: the experiments bench_paper should run (empty =
+  /// all). Only names the bench passed to parse_options are accepted.
+  std::vector<std::string> names;
 
   /// Effective per-node CSV stride: the explicit --node-csv-sample value,
   /// else `fallback` (1 for the ordinary benches, coarse for mega-scale).
@@ -74,9 +79,12 @@ struct Options {
 };
 
 /// Parses the standard flags; prints usage and exits on --help or errors.
-[[nodiscard]] Options parse_options(int argc, char** argv,
-                                    const std::string& bench_name,
-                                    const std::string& description);
+/// A positional argument must be one of `names` and lands in
+/// Options::names; a bench that passes no names rejects them.
+[[nodiscard]] Options parse_options(
+    int argc, char** argv, const std::string& bench_name,
+    const std::string& description,
+    const std::vector<std::string>& names = {});
 
 /// One (algorithm, topology) evaluation cell of the paper's 2x2 grid.
 struct Cell {
@@ -116,8 +124,11 @@ struct Cell {
                                          core::SharingMode sharing,
                                          bool secure, bool large_dataset);
 
-/// Runs a scenario, echoing a one-line progress note to stderr.
-[[nodiscard]] sim::ExperimentResult run_logged(const sim::Scenario& scenario);
+/// Runs a scenario, echoing a one-line progress note to stderr. With
+/// `centralized_epochs` > 0 it runs the scenario's centralized baseline
+/// (same dataset, split and model) for that many epochs instead.
+[[nodiscard]] sim::ExperimentResult run_logged(
+    const sim::Scenario& scenario, std::size_t centralized_epochs = 0);
 
 /// Writes `result` to `<csv_dir>/<file>.csv` when --csv was given.
 void maybe_csv(const Options& options, const sim::ExperimentResult& result,

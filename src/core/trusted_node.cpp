@@ -588,19 +588,6 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   }
 }
 
-void TrustedNode::ecall_input_batch(std::span<const InputFrame> frames) {
-  // One enclave entry for a whole same-timestamp delivery run. The body is
-  // a strict loop of ecall_input: per-frame accounting (record_ecall) and
-  // the mid-batch protocol trigger must happen at exactly the per-message
-  // points — pending_bytes_deserialized_ folds into the epoch that consumes
-  // the messages, so decoding frame k+1 before frame k's completed round
-  // runs would shift bytes into the wrong epoch's counters. The win is the
-  // single ecall boundary and the decode loop's locality, not reordering.
-  for (const InputFrame& frame : frames) {
-    ecall_input(frame.src, frame.blob);
-  }
-}
-
 void TrustedNode::ecall_train_due() {
   REX_REQUIRE(initialized_, "train event before ecall_init");
   runtime_.record_ecall(0);

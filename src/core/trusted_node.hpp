@@ -176,22 +176,6 @@ class TrustedNode {
   /// and — for D-PSGD — runs the epoch once all neighbors delivered.
   void ecall_input(NodeId src, BytesView blob);
 
-  /// One buffered delivery for ecall_input_batch: the sender plus a view of
-  /// the wire blob (the caller keeps the backing envelopes alive).
-  struct InputFrame {
-    NodeId src = 0;
-    BytesView blob;
-  };
-
-  /// Batched ecall_input: one enclave entry for a run of same-timestamp
-  /// deliveries to this node. Semantically a loop of ecall_input — the
-  /// per-envelope accounting (record_ecall) and the mid-batch protocol
-  /// trigger (a D-PSGD round completing on frame k runs before frame k+1
-  /// decodes) are preserved exactly, because deserialization bytes fold
-  /// into the epoch that consumes them and reordering decodes across a
-  /// round boundary would shift that accounting.
-  void ecall_input_batch(std::span<const InputFrame> frames);
-
   /// Train-timer event: RMW trains every period regardless of arrivals
   /// (§III-C1); the period itself (RexConfig::rmw_period_s) is scheduled by
   /// the simulation engine. For D-PSGD this runs a pipeline catch-up epoch

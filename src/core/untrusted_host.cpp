@@ -58,30 +58,6 @@ void UntrustedHost::on_deliver(const net::Envelope& envelope) {
   }
 }
 
-void UntrustedHost::on_deliver_batch(
-    std::span<const net::Envelope* const> envelopes) {
-  // Per-worker scratch: the engine's math phase runs hosts in parallel, one
-  // node per shard, so a thread_local frame list is never shared.
-  static thread_local std::vector<TrustedNode::InputFrame> frames;
-  frames.clear();
-  const auto flush = [this] {
-    if (frames.empty()) return;
-    trusted_.ecall_input_batch(frames);
-    frames.clear();
-  };
-  for (const net::Envelope* envelope : envelopes) {
-    REX_REQUIRE(envelope->dst == id_, "envelope delivered to the wrong host");
-    if (envelope->kind == net::MessageKind::kProtocol) {
-      frames.push_back(TrustedNode::InputFrame{envelope->src,
-                                               envelope->payload});
-      continue;
-    }
-    flush();
-    on_deliver(*envelope);
-  }
-  flush();
-}
-
 void UntrustedHost::on_train_due() { trusted_.ecall_train_due(); }
 
 }  // namespace rex::core

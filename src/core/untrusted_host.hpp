@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 
 #include "core/trusted_node.hpp"
 #include "net/transport.hpp"
@@ -42,13 +41,6 @@ class UntrustedHost {
   /// Deliver event: relays a network blob into the enclave (Algorithm 1's
   /// receive loop). For D-PSGD the enclave runs the epoch on last arrival.
   void on_deliver(const net::Envelope& envelope);
-
-  /// Batched deliver: a run of same-timestamp envelopes for this node, in
-  /// delivery order. Consecutive protocol messages collapse into a single
-  /// ecall_input_batch (one enclave entry, tight decode loop); attestation
-  /// and resync messages flush the pending run and dispatch singly, so
-  /// cross-kind ordering is exactly the sequential on_deliver order.
-  void on_deliver_batch(std::span<const net::Envelope* const> envelopes);
 
   /// Train-timer event: RMW trains on its period (§III-C1) with whatever
   /// arrived. For D-PSGD this runs a pipeline catch-up epoch when a full

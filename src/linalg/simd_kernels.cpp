@@ -50,28 +50,6 @@ void mf_sgd_rows_scalar(float* x, float* y, std::size_t n, float error,
   }
 }
 
-float dot_scalar(const float* a, const float* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-float l2_norm_scalar(const float* x, std::size_t n) {
-  double acc = 0.0;  // double accumulator: long sums of squares
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return static_cast<float>(std::sqrt(acc));
-}
-
-float l1_distance_scalar(const float* x, const float* y, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
-  }
-  return static_cast<float>(acc);
-}
-
 #if REX_SIMD_X86
 
 // ===== AVX2 kernels =====
@@ -153,77 +131,6 @@ __attribute__((target("avx2"))) void mf_sgd_rows_avx2(float* x, float* y,
   mf_sgd_rows_scalar(x + i, y + i, n - i, error, lr, lambda);
 }
 
-// Fast reductions: 4 independent accumulator lanes reassociate the sum
-// (epsilon contract). FMA is allowed here — it only tightens the error.
-__attribute__((target("avx2,fma"))) float dot_avx2(const float* a,
-                                                   const float* b,
-                                                   std::size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-  }
-  const __m256 acc = _mm256_add_ps(acc0, acc1);
-  const __m128 lo = _mm256_castps256_ps128(acc);
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);
-  __m128 sum = _mm_add_ps(lo, hi);
-  sum = _mm_hadd_ps(sum, sum);
-  sum = _mm_hadd_ps(sum, sum);
-  float result = _mm_cvtss_f32(sum);
-  for (; i < n; ++i) result += a[i] * b[i];
-  return result;
-}
-
-__attribute__((target("avx2,fma"))) float l2_norm_avx2(const float* x,
-                                                       std::size_t n) {
-  // Widen to double lanes: the exact contract uses a double accumulator,
-  // so the fast path keeps double precision and only reassociates.
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_cvtps_pd(_mm_loadu_ps(x + i));
-    acc = _mm256_fmadd_pd(vx, vx, acc);
-  }
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d sum2 = _mm_add_pd(lo, hi);
-  double acc_s = _mm_cvtsd_f64(_mm_add_sd(sum2, _mm_unpackhi_pd(sum2, sum2)));
-  for (; i < n; ++i) {
-    acc_s += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return static_cast<float>(std::sqrt(acc_s));
-}
-
-__attribute__((target("avx2"))) float l1_distance_avx2(const float* x,
-                                                       const float* y,
-                                                       std::size_t n) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_cvtps_pd(_mm_loadu_ps(x + i));
-    const __m256d vy = _mm256_cvtps_pd(_mm_loadu_ps(y + i));
-    acc = _mm256_add_pd(acc,
-                        _mm256_andnot_pd(sign_mask, _mm256_sub_pd(vx, vy)));
-  }
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d sum2 = _mm_add_pd(lo, hi);
-  double acc_s = _mm_cvtsd_f64(_mm_add_sd(sum2, _mm_unpackhi_pd(sum2, sum2)));
-  for (; i < n; ++i) {
-    acc_s += std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
-  }
-  return static_cast<float>(acc_s);
-}
-
 #endif  // REX_SIMD_X86
 
 #if REX_SIMD_NEON
@@ -291,17 +198,6 @@ void mf_sgd_rows_neon(float* x, float* y, std::size_t n, float error,
   mf_sgd_rows_scalar(x + i, y + i, n - i, error, lr, lambda);
 }
 
-float dot_neon(const float* a, const float* b, std::size_t n) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = vaddq_f32(acc, vmulq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-  float result = vaddvq_f32(acc);
-  for (; i < n; ++i) result += a[i] * b[i];
-  return result;
-}
-
 #endif  // REX_SIMD_NEON
 
 bool env_flag(const char* name) {
@@ -324,7 +220,6 @@ Backend detect_backend() {
 // happens during single-threaded setup); the test hook rewrites it between
 // single-threaded test sections only.
 Backend g_backend = detect_backend();
-bool g_fast_reductions = env_flag("REX_FAST_REDUCTIONS");
 
 }  // namespace
 
@@ -340,10 +235,6 @@ const char* backend_name(Backend backend) {
   }
   return "?";
 }
-
-bool fast_reductions_enabled() { return g_fast_reductions; }
-
-void set_fast_reductions(bool enabled) { g_fast_reductions = enabled; }
 
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
   switch (g_backend) {
@@ -407,37 +298,29 @@ void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
   }
 }
 
+// Reductions stay on one exact left-to-right loop on every backend: a
+// multi-lane vector sum reassociates, which would move golden dumps.
+
 float dot(const float* a, const float* b, std::size_t n) {
-  if (g_fast_reductions) {
-    switch (g_backend) {
-#if REX_SIMD_X86
-      case Backend::kAvx2: return dot_avx2(a, b, n);
-#endif
-#if REX_SIMD_NEON
-      case Backend::kNeon: return dot_neon(a, b, n);
-#endif
-      default: break;
-    }
-  }
-  return dot_scalar(a, b, n);
+  float acc = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
+  return acc;
 }
 
 float l2_norm(const float* x, std::size_t n) {
-#if REX_SIMD_X86
-  if (g_fast_reductions && g_backend == Backend::kAvx2) {
-    return l2_norm_avx2(x, n);
+  double acc = 0.0;  // double accumulator: long sums of squares
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += static_cast<double>(x[i]) * static_cast<double>(x[i]);
   }
-#endif
-  return l2_norm_scalar(x, n);
+  return static_cast<float>(std::sqrt(acc));
 }
 
 float l1_distance(const float* x, const float* y, std::size_t n) {
-#if REX_SIMD_X86
-  if (g_fast_reductions && g_backend == Backend::kAvx2) {
-    return l1_distance_avx2(x, y, n);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
   }
-#endif
-  return l1_distance_scalar(x, y, n);
+  return static_cast<float>(acc);
 }
 
 }  // namespace rex::linalg::simd

@@ -8,11 +8,9 @@
 //    AVX2/NEON results are bit-identical to the scalar loops the portable
 //    build auto-vectorizes. Switching backends never moves a golden dump.
 //
-//  * Reductions (dot / l2_norm / l1_distance): vector backends accumulate in
-//    multiple lanes and reassociate the sum, which is NOT bit-identical.
-//    They therefore stay on the exact scalar path unless the opt-in
-//    REX_FAST_REDUCTIONS environment knob is set; the fast path is covered
-//    by an epsilon-bounded equivalence test instead of golden identity.
+//  * Reductions (dot / l2_norm / l1_distance): one exact left-to-right
+//    scalar loop on every backend. A multi-lane vector sum reassociates,
+//    which is NOT bit-identical, so there is no vector reduction path.
 //
 // Dispatch is resolved once (first use) from the CPU and environment:
 // REX_SCALAR_KERNELS forces the scalar backend end to end — the escape
@@ -39,12 +37,6 @@ void set_backend(Backend backend);
 /// Human-readable backend name ("scalar" / "avx2" / "neon").
 [[nodiscard]] const char* backend_name(Backend backend);
 
-/// True when REX_FAST_REDUCTIONS enabled the reassociating reduction path.
-[[nodiscard]] bool fast_reductions_enabled();
-
-/// Test hook: toggle the fast-reduction path.
-void set_fast_reductions(bool enabled);
-
 // ===== Elementwise kernels (bit-identical across backends) =====
 
 /// y += alpha * x
@@ -69,7 +61,7 @@ void fill(float* x, float value, std::size_t n);
 void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
                  float lambda);
 
-// ===== Reductions (exact scalar unless REX_FAST_REDUCTIONS) =====
+// ===== Reductions (exact scalar on every backend) =====
 
 /// Σ a[i] * b[i] — float accumulator, left-to-right (exact contract).
 [[nodiscard]] float dot(const float* a, const float* b, std::size_t n);

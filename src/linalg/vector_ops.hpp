@@ -5,9 +5,9 @@
 // floats) stay on the inline scalar loops; larger inputs route to the
 // runtime-dispatched SIMD layer (simd_kernels.hpp, DESIGN.md §7). The two
 // paths are bit-identical for the elementwise kernels, and the reductions
-// only leave the exact scalar algorithm under the opt-in
-// REX_FAST_REDUCTIONS knob, so the split never moves a result. float (not
-// double) matches the paper's model-size accounting.
+// run the same exact scalar algorithm on both sides, so the split never
+// moves a result. float (not double) matches the paper's model-size
+// accounting.
 #pragma once
 
 #include <cmath>

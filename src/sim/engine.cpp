@@ -417,38 +417,6 @@ net::Envelope* SimEngine::prepare_delivery(const Event& event) {
   return &env;
 }
 
-void SimEngine::apply_group_math(std::span<const Event* const> group) {
-  // Consecutive kDeliver events for this node collapse into one host
-  // on_deliver_batch call (a single enclave entry whose decode loop stays
-  // hot). Engine-side per-delivery work — churn drops, arrival stamping,
-  // receive accounting — still runs per event above, and any non-deliver
-  // event flushes the pending run first, so the host observes exactly the
-  // sequential dispatch order. (A dropped delivery never reaches the host,
-  // so it does not split a run.)
-  static thread_local std::vector<const net::Envelope*> run;
-  run.clear();
-  const core::NodeId node = group.front()->node;
-  const auto flush = [&] {
-    if (run.empty()) return;
-    if (run.size() == 1) {
-      hosts_[node].on_deliver(*run.front());
-    } else {
-      hosts_[node].on_deliver_batch(run);
-    }
-    run.clear();
-  };
-  for (const Event* event : group) {
-    if (event->kind == EventKind::kDeliver) {
-      ++nodes_[event->node].events_processed;
-      if (net::Envelope* env = prepare_delivery(*event)) run.push_back(env);
-      continue;
-    }
-    flush();
-    apply_event_math(*event);
-  }
-  flush();
-}
-
 void SimEngine::apply_event_math(const Event& event) {
   NodeStatus& status = nodes_[event.node];
   ++status.events_processed;
@@ -1091,7 +1059,7 @@ bool SimEngine::process_next_batch() {
     groups_[ref.slot].push_back(&event);
   }
   pool_.parallel_shards(groups_used_, [&](std::size_t g) {
-    apply_group_math(groups_[g]);
+    for (const Event* event : groups_[g]) apply_event_math(*event);
   });
 
   // Serial scheduling phase: event hooks in seq order, then completed
@@ -1125,8 +1093,8 @@ void SimEngine::run_epochs(std::size_t epochs) {
   const std::size_t n = hosts_.size();
   // First call: epochs + 1 total (epoch 0 is scheduled but not recorded
   // yet) — the same count a barrier run of `epochs` rounds after
-  // initialize() produces; the max() keeps "epochs further" correct when a
-  // run_until() already recorded some. Later calls extend the target.
+  // initialize() produces; the max() keeps "epochs further" correct for a
+  // node that already recorded some. Later calls extend the target.
   if (!targets_active_) {
     targets_active_ = true;
     for (std::size_t id = 0; id < n; ++id) {
@@ -1180,18 +1148,6 @@ void SimEngine::run_epochs(std::size_t epochs) {
           clock_.seconds);
       break;
     }
-  }
-  finalize_async_records();
-}
-
-void SimEngine::run_until(SimTime horizon) {
-  require_initialized();
-  if (config_.mode == EngineMode::kBarrier) {
-    while (clock_ < horizon) run_barrier_round();
-    return;
-  }
-  while (!queue_.empty() && queue_.top().time <= horizon) {
-    process_next_batch();
   }
   finalize_async_records();
 }

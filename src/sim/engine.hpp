@@ -277,10 +277,6 @@ class SimEngine {
   /// overshoot — that is the point).
   void run_epochs(std::size_t epochs);
 
-  /// Event mode: pumps the queue until the next event would be later than
-  /// `horizon`. (Barrier mode: rounds until the clock passes `horizon`.)
-  void run_until(SimTime horizon);
-
   [[nodiscard]] EngineMode mode() const { return config_.mode; }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] SimTime now() const { return clock_; }
@@ -399,11 +395,6 @@ class SimEngine {
   bool process_next_batch();
   /// Math side of one event (runs inside the parallel phase).
   void apply_event_math(const Event& event);
-  /// Math side of one node's whole batch group: runs of consecutive
-  /// kDeliver events collapse into a single host on_deliver_batch call
-  /// (one enclave entry per run); other events dispatch singly at their
-  /// exact sequential positions.
-  void apply_group_math(std::span<const Event* const> group);
   /// Engine-side half of one delivery: churn-drop check, arrival stamping
   /// and receive accounting. Returns the envelope to hand to the host, or
   /// nullptr when the delivery was dropped (receiver offline).

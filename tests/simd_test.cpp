@@ -1,7 +1,7 @@
 // SIMD kernel equivalence (DESIGN.md §7): the dispatched backend must be
 // bit-identical to the scalar escape hatch for every elementwise kernel —
 // across fuzzed shapes that cover full vector blocks, remainder lanes and
-// the empty case — and epsilon-equivalent for the opt-in fast reductions.
+// the empty case — and every backend runs the same exact reductions.
 // The scalar backend is the reference the golden dumps were recorded
 // against, so exact equality here is what makes REX_SCALAR_KERNELS a true
 // escape hatch rather than a separate numerics mode.
@@ -134,11 +134,9 @@ TEST(SimdKernels, MfSgdRowsBitIdenticalAcrossBackends) {
 }
 
 TEST(SimdKernels, ReductionsExactByDefault) {
-  // With fast reductions off, every backend must route reductions through
-  // the identical left-to-right scalar accumulation.
+  // Every backend must route reductions through the identical
+  // left-to-right scalar accumulation.
   const Backend dispatched = active_backend();
-  const bool fast = fast_reductions_enabled();
-  set_fast_reductions(false);
   Rng rng(0xD07);
   for (const std::size_t n : kShapes) {
     const std::vector<float> a = random_vec(rng, n);
@@ -152,38 +150,6 @@ TEST(SimdKernels, ReductionsExactByDefault) {
     EXPECT_EQ(vec_l1, l1_distance(a.data(), b.data(), n)) << n;
     set_backend(dispatched);
   }
-  set_fast_reductions(fast);
-}
-
-TEST(SimdKernels, FastReductionsWithinEpsilon) {
-  // The opt-in reassociating path may differ in rounding, bounded by the
-  // usual float dot-product error (~n * eps * |a||b| scale).
-  const Backend dispatched = active_backend();
-  const bool fast = fast_reductions_enabled();
-  Rng rng(0xFA57);
-  for (const std::size_t n : kShapes) {
-    const std::vector<float> a = random_vec(rng, n);
-    const std::vector<float> b = random_vec(rng, n);
-    set_backend(Backend::kScalar);
-    set_fast_reductions(false);
-    const double exact_dot = dot(a.data(), b.data(), n);
-    const double exact_l2 = l2_norm(a.data(), n);
-    const double exact_l1 = l1_distance(a.data(), b.data(), n);
-    set_backend(dispatched);
-    set_fast_reductions(true);
-    const double fast_dot = dot(a.data(), b.data(), n);
-    const double fast_l2 = l2_norm(a.data(), n);
-    const double fast_l1 = l1_distance(a.data(), b.data(), n);
-    double mag = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      mag += std::fabs(static_cast<double>(a[i]) * b[i]);
-    }
-    const double tol = 1e-5 * mag;
-    EXPECT_NEAR(fast_dot, exact_dot, tol) << n;
-    EXPECT_NEAR(fast_l2, exact_l2, tol) << n;
-    EXPECT_NEAR(fast_l1, exact_l1, tol) << n;
-  }
-  set_fast_reductions(fast);
 }
 
 }  // namespace
