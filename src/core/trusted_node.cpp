@@ -737,14 +737,15 @@ ml::RecModel& TrustedNode::alien_scratch(std::size_t index) {
 }
 
 void TrustedNode::append_raw_data(const std::vector<data::Rating>& ratings) {
-  for (const data::Rating& r : ratings) {
-    if (store_index_.insert(pair_key(r))) {
-      store_.push_back(r);
-      ++counters_.ratings_appended;
-    } else {
-      ++counters_.duplicates_dropped;
-    }
-  }
+  store_index_.insert_batch(
+      ratings, pair_key, [this](const data::Rating& r, bool inserted) {
+        if (inserted) {
+          store_.push_back(r);
+          ++counters_.ratings_appended;
+        } else {
+          ++counters_.duplicates_dropped;
+        }
+      });
 }
 
 void TrustedNode::train_step() {

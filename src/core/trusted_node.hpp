@@ -216,6 +216,8 @@ class TrustedNode {
   [[nodiscard]] std::uint64_t epochs_completed() const { return epoch_; }
   [[nodiscard]] double last_rmse() const { return counters_.rmse; }
   [[nodiscard]] std::size_t store_size() const { return store_.size(); }
+  /// The raw-data store in append order (local partition first).
+  [[nodiscard]] std::span<const data::Rating> store() const { return store_; }
   [[nodiscard]] const ml::RecModel& model() const { return *model_; }
   [[nodiscard]] std::size_t memory_footprint() const;
   [[nodiscard]] NodeId id() const { return id_; }

@@ -168,9 +168,30 @@ void MfModel::train_epoch(std::span<const data::Rating> store, Rng& rng) {
   if (store.empty()) return;
   // Fixed number of SGD steps regardless of store size (§III-E): samples are
   // drawn uniformly with replacement so epoch cost never grows with the
-  // accumulating raw-data store.
-  for (std::size_t step = 0; step < config_.sgd_steps_per_epoch; ++step) {
-    sgd_step(store[rng.uniform(store.size())]);
+  // accumulating raw-data store. The draws come first (the same calls in
+  // the same order as drawing per step) so that each step can prefetch
+  // what later steps touch: a grown store and the item tensors miss every
+  // cache by the time a node's epoch comes round again.
+  static thread_local std::vector<std::size_t> picks;
+  picks.resize(config_.sgd_steps_per_epoch);
+  for (std::size_t& pick : picks) pick = rng.uniform(store.size());
+  constexpr std::size_t kAhead = 4;  // steps between prefetch and use
+  for (std::size_t step = 0; step < picks.size(); ++step) {
+    if (step + 2 * kAhead < picks.size()) {
+      __builtin_prefetch(&store[picks[step + 2 * kAhead]]);
+    }
+    if (step + kAhead < picks.size()) {
+      // Its store entry was prefetched kAhead steps ago. Out-of-range ids
+      // are left for that step's sgd_step to reject.
+      const data::ItemId item = store[picks[step + kAhead]].item;
+      if (item < config_.n_items) {
+        const float* row = item_embeddings_.row(item).data();
+        __builtin_prefetch(row);
+        __builtin_prefetch(row + config_.embedding_dim - 1);
+        __builtin_prefetch(&item_bias_[item]);
+      }
+    }
+    sgd_step(store[picks[step]]);
   }
 }
 

@@ -4,6 +4,8 @@
 // rejection, fail-closed on unattested peers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -263,6 +265,46 @@ TEST(RexProtocol, RawDataStoreGrowsAndDedupes) {
   EXPECT_GT(duplicates, 0u);
   // Store never holds duplicate (user, item) pairs.
   // (verified indirectly: appended == store growth)
+}
+
+TEST(RexProtocol, RawMergeKeepsFirstOccurrencesInNeighborOrder) {
+  // Algorithm 2 line 16 under D-PSGD: a round's payloads merge in
+  // neighbor-rank order whatever order they arrived in, and each (user,
+  // item) pair lands once, at its first occurrence.
+  Cluster cluster(3, raw_dpsgd_native());
+  cluster.init_all();
+  auto inbox = cluster.transport.drain_inbox(0);
+  ASSERT_EQ(inbox.size(), 2u);
+  // Users 1 and 2 are never in node 0's own partition. Neighbor 1 repeats
+  // `a`; neighbor 2 overlaps neighbor 1 on `b` and `c`.
+  const data::Rating a{1, 3, 4.0f};
+  const data::Rating b{1, 4, 2.5f};
+  const data::Rating c{2, 3, 3.0f};
+  const data::Rating d{2, 7, 1.0f};
+  const std::map<NodeId, std::vector<data::Rating>> sent = {
+      {1, {a, b, a, c}}, {2, {c, d, b}}};
+  for (net::Envelope& env : inbox) {
+    ProtocolPayload payload = ProtocolPayload::decode(env.payload.view());
+    payload.ratings = sent.at(env.src);
+    env.payload = payload.encode();
+  }
+  std::sort(inbox.begin(), inbox.end(),
+            [](const net::Envelope& x, const net::Envelope& y) {
+              return x.src > y.src;  // neighbor 2 arrives first
+            });
+
+  const TrustedNode& node = cluster.hosts[0]->trusted();
+  const std::size_t before = node.store_size();
+  for (const net::Envelope& env : inbox) cluster.hosts[0]->on_deliver(env);
+  ASSERT_EQ(node.epochs_completed(), 2u);
+  const auto grown = node.store().subspan(before);
+  EXPECT_EQ(std::vector<data::Rating>(grown.begin(), grown.end()),
+            (std::vector<data::Rating>{a, b, c, d}));
+  const EpochCounters& counters = node.last_epoch();
+  EXPECT_EQ(counters.ratings_appended, 4u);
+  EXPECT_EQ(counters.duplicates_dropped, 3u);
+  EXPECT_EQ(counters.ratings_appended + counters.duplicates_dropped,
+            sent.at(1).size() + sent.at(2).size());
 }
 
 namespace {

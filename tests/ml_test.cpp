@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "data/movielens.hpp"
+#include "linalg/vector_ops.hpp"
 #include "ml/adam.hpp"
 #include "ml/dnn.hpp"
 #include "ml/mf.hpp"
@@ -136,6 +137,45 @@ TEST(Mf, FixedStepsPerEpochIgnoresStoreSize) {
   m2->train_epoch(d.ratings, t2);
   // Both consumed the same number of draws: next value identical.
   EXPECT_EQ(t1.next_u64(), t2.next_u64());
+}
+
+TEST(Mf, TrainEpochIsTheSampledSgdStepLoop) {
+  // train_epoch draws its samples up front and prefetches ahead of its
+  // steps; model and rng must end bit-identical to drawing and stepping
+  // one sample at a time.
+  const data::Dataset d = small_dataset();
+  for (const bool lazy : {false, true}) {
+    for (const std::size_t dim :
+         {std::size_t{2}, std::size_t{10}, linalg::kSimdThreshold}) {
+      // Stores smaller and larger than the 200 steps of an epoch.
+      for (const std::size_t store_size :
+           {std::size_t{30}, d.ratings.size()}) {
+        SCOPED_TRACE(testing::Message() << "lazy " << lazy << ", dim " << dim
+                                        << ", store " << store_size);
+        MfConfig config = mf_config(d);
+        config.embedding_dim = dim;
+        config.lazy_user_rows = lazy;
+        config.lazy_init_seed = 17;
+        config.sgd_steps_per_epoch = 200;
+        Rng init(6);
+        MfModel model(config, init);
+        MfModel reference = model;
+        const auto store =
+            std::span<const data::Rating>(d.ratings).first(store_size);
+        Rng rng(21);
+        Rng reference_rng(21);
+        for (int epoch = 0; epoch < 3; ++epoch) {
+          model.train_epoch(store, rng);
+          for (std::size_t step = 0; step < config.sgd_steps_per_epoch;
+               ++step) {
+            reference.sgd_step(store[reference_rng.uniform(store.size())]);
+          }
+        }
+        EXPECT_EQ(model.serialize(), reference.serialize());
+        EXPECT_EQ(rng.next_u64(), reference_rng.next_u64());
+      }
+    }
+  }
 }
 
 TEST(Mf, EmptyStoreIsNoop) {
