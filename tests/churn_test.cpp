@@ -124,6 +124,25 @@ TEST(ChurnRejoin, LossFaultsPlusChurnIdenticalAcross1_2_8Threads) {
   run_thread_determinism(s);
 }
 
+TEST(ChurnRejoin, LossFaultsPlusChurnDivergingRunFailsTheConvergenceGate) {
+  // The same composition with an MF learning rate that blows the RMSE up:
+  // the harness's post-heal convergence gate must reject the run.
+  Scenario s = churn_scenario(OfflinePolicy::kDefer);
+  s.epochs = 6;
+  s.mf_learning_rate = 2.0f;
+  s.faults.seed = 77;
+  s.faults.faults.push_back(
+      FaultSpec::loss(SimTime{0.002}, SimTime{0.05}, 0.2));
+  try {
+    (void)run_scenario(s);
+    ADD_FAILURE() << "a diverging run passed the convergence gate";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no convergence after heal"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ===== Rejoin semantics =====
 
 TEST(ChurnRejoin, RejoinersResyncBeforeTraining) {
