@@ -44,8 +44,8 @@
 // non-zero on a >25% events/sec regression (the CI gate).
 //
 // --mega-scale: the >=100k-node memory-layout showcase (DESIGN.md §10).
-// One event-driven D-PSGD raw-sharing cell with the lean-memory diet on
-// (lazy MF user rows, shared read-only test set, arena-packed hosts).
+// One event-driven D-PSGD raw-sharing cell: MF user rows materialized on
+// demand (users outnumber items), arena-packed hosts.
 // Exclusive mode: peak RSS is process-wide and monotonic, so the bytes/node
 // accounting is only meaningful when the process runs nothing else. Emits
 // mega_* keys into BENCH_engine_scale.json; --baseline gates events/sec
@@ -250,13 +250,13 @@ int emit_scale_json(const rex::bench::Options& options,
 
 // ===== --mega-scale: >=100k-node memory-layout showcase =====
 
-/// Per-node memory budget (DESIGN.md §10): the lean-memory diet must keep
-/// the whole 100k-node box under 40 KiB of peak RSS per node.
+/// Per-node memory budget (DESIGN.md §10): the whole 100k-node box must
+/// stay under 40 KiB of peak RSS per node.
 constexpr double kMegaBytesPerNodeBudget = 40.0 * 1024.0;
 
 /// The mega cell: 100k one-user nodes, event-driven D-PSGD with raw-data
 /// sharing (model shares would serialize the full dense user tensor per
-/// message — raw shares keep the wire and the lazy row store O(seen)).
+/// message — raw shares keep the wire and the user-row store O(seen)).
 rex::sim::Scenario mega_scale_scenario(const rex::bench::Options& options) {
   using namespace rex;
   sim::Scenario s;
@@ -275,7 +275,6 @@ rex::sim::Scenario mega_scale_scenario(const rex::bench::Options& options) {
   s.rex.algorithm = core::Algorithm::kDpsgd;
   s.rex.sharing = core::SharingMode::kRawData;
   s.rex.data_points_per_epoch = 4;
-  s.lean_memory = true;
   s.epochs = options.epochs_or(options.smoke ? 2 : 6);
   s.seed = options.seed;
   s.threads = options.threads;
@@ -313,8 +312,7 @@ int run_mega_showcase(const rex::bench::Options& options) {
   const double bytes_per_node =
       static_cast<double>(rss) / static_cast<double>(r.nodes);
 
-  std::printf("mega-scale cell (%zu nodes, D-PSGD raw shares, lean memory)\n",
-              r.nodes);
+  std::printf("mega-scale cell (%zu nodes, D-PSGD raw shares)\n", r.nodes);
   print_scale_cell("mega", r);
   std::printf("  peak RSS %s total, %s per node (budget %s)\n",
               bench::format_bytes(static_cast<double>(rss)).c_str(),
@@ -348,8 +346,7 @@ int run_mega_showcase(const rex::bench::Options& options) {
   json.write("BENCH_engine_scale.json");
 
   // The 40 KiB/node budget holds with or without a baseline: it is the
-  // acceptance bar for the lean-memory layout itself, not a regression
-  // check.
+  // acceptance bar for the memory layout itself, not a regression check.
   const bool budget_ok = bytes_per_node <= kMegaBytesPerNodeBudget;
   std::printf("  bytes/node budget (<= %.0f KiB): %s\n",
               kMegaBytesPerNodeBudget / 1024.0, budget_ok ? "PASS" : "FAIL");
@@ -710,7 +707,7 @@ int main(int argc, char** argv) {
 
   if (options.mega_scale) {
     bench::print_header(
-        "Mega scale — 100k-node lean-memory event-driven profile", options);
+        "Mega scale — 100k-node event-driven profile", options);
     return run_mega_showcase(options);
   }
 

@@ -40,7 +40,7 @@ namespace {
       "  --churn         churn/rejoin showcase (event engine, rejoin protocol)\n"
       "  --query-load R  per-node open-loop query rate in simulated Hz\n"
       "  --smoke         reduced CI smoke scale (seconds, not minutes)\n"
-      "  --mega-scale    >=100k-node lean-memory cell (bench_async_stragglers)\n"
+      "  --mega-scale    >=100k-node event-driven cell (bench_async_stragglers)\n"
       "  --node-csv-sample N  write every Nth node in per-node CSVs\n"
       "  --help          this text\n");
   std::exit(exit_code);

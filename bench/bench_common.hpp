@@ -51,7 +51,7 @@ struct Options {
   /// meaningful.
   bool smoke = false;
   /// Mega-scale profile (--mega-scale): one >= 100k-node event-driven cell
-  /// with the lean-memory diet on (DESIGN.md §10). Exclusive mode — the
+  /// (DESIGN.md §10). Exclusive mode — the
   /// process must run nothing else, since the bytes/node gate divides
   /// process peak RSS by the node count. Consumed by
   /// bench_async_stragglers.

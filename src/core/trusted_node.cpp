@@ -396,12 +396,6 @@ void TrustedNode::ecall_init(TrustedInit init) {
   local_users_.erase(std::unique(local_users_.begin(), local_users_.end()),
                      local_users_.end());
   test_data_ = std::move(init.local_test);
-  test_view_ = test_data_;
-  if (!init.shared_test.empty()) {
-    REX_REQUIRE(test_data_.empty(),
-                "shared_test and local_test are mutually exclusive");
-    test_view_ = init.shared_test;
-  }
   if (neighbors_.empty() && !init.neighbors.empty()) {
     // Attestation may be skipped in native mode; adopt the neighbor list.
     neighbors_ = init.neighbors;
@@ -893,27 +887,17 @@ void TrustedNode::share_with(std::span<const NodeId> dsts, Bytes plaintext) {
 }
 
 void TrustedNode::test_step() {
-  counters_.rmse = model_->rmse(test_view_);
-  counters_.test_predictions += test_view_.size();
-}
-
-void TrustedNode::release_transient_buffers() {
-  input_pool_.clear();
-  input_pool_.shrink_to_fit();
-  round_scratch_.clear();
-  round_scratch_.shrink_to_fit();
-  alien_pool_.clear();
-  seen_mask_.clear();
-  seen_mask_.shrink_to_fit();
-  seen_mask_valid_ = false;
-  if (initialized_) update_memory_accounting();
+  counters_.rmse = model_->rmse(test_data_);
+  counters_.test_predictions += test_data_.size();
 }
 
 std::size_t TrustedNode::memory_footprint() const {
   if (!initialized_) return 0;
-  // Model + optimizer state, the raw-data store, its duplicate-filter index
-  // (~16 B per bucket entry in a typical unordered_set layout), the local
-  // test set, and the pending payload buffers.
+  // Model + optimizer state, the raw-data store, its duplicate-filter index,
+  // the local test set, and the pending payload buffers. The index is a
+  // FlatSet64 (8 B slots at 1/2 to 3/4 load); it is charged a flat 16 B
+  // per key, the figure the EPC accounting has always used, so enclave
+  // memory charges do not depend on the table's load bound.
   std::size_t bytes = model_->memory_footprint();
   // Merge scratch buffers (model sharing materializes alien models).
   for (const auto& alien : alien_pool_) bytes += alien->memory_footprint();

@@ -34,11 +34,6 @@ using NodeId = net::NodeId;
 struct TrustedInit {
   std::vector<data::Rating> local_train;
   std::vector<data::Rating> local_test;
-  /// Lean-memory alternative to `local_test` (DESIGN.md §10): a read-only
-  /// view into one engine-owned buffer shared across nodes, so 100k nodes
-  /// do not each hold a private copy. When non-empty it wins over
-  /// local_test; the owner must outlive the node.
-  std::span<const data::Rating> shared_test;
   std::vector<NodeId> neighbors;
 };
 
@@ -93,12 +88,6 @@ class TrustedNode {
   /// Force-completes a rejoin (the engine's watchdog: a contacted peer
   /// churned away mid-exchange). Late resync replies are still merged.
   void finish_rejoin();
-
-  /// Lean-memory churn-down hook (DESIGN.md §10): drops recycled caches —
-  /// payload/merge scratch pools and the serving exclusion mask — that an
-  /// offline node will not touch and can rebuild on demand. Pure capacity,
-  /// never protocol state, so calling it cannot change any result.
-  void release_transient_buffers();
 
   /// ecall for a kResync envelope: a kResyncRequest is answered with the
   /// current model; a kResyncModel reply is averaged into our model
@@ -340,9 +329,7 @@ class TrustedNode {
   std::vector<std::unique_ptr<ml::RecModel>> alien_pool_;  // merge scratch
   std::vector<data::Rating> store_;       // raw-data store (protected memory)
   FlatSet64 store_index_;                 // duplicate filter (hot path)
-  std::vector<data::Rating> test_data_;   // owned (empty with shared_test)
-  /// What test_step evaluates: test_data_, or the engine's shared buffer.
-  std::span<const data::Rating> test_view_;
+  std::vector<data::Rating> test_data_;
 
   /// One buffered protocol input: the payload plus its arrival rank (the
   /// order ecall_input saw it), so RMW can merge in true arrival order

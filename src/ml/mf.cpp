@@ -10,29 +10,61 @@
 
 namespace rex::ml {
 
+namespace {
+
+/// Bit-packs `n` flags, LSB first, eight to a byte (a short last byte).
+template <typename Flag>
+void write_mask(serialize::BinaryWriter& w, std::size_t n, Flag flag) {
+  std::uint8_t byte = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    byte |= static_cast<std::uint8_t>((flag(i) & 1) << (i % 8));
+    if (i % 8 == 7 || i + 1 == n) {
+      w.u8(byte);
+      byte = 0;
+    }
+  }
+}
+
+/// Reads `n` flags packed by write_mask, calling set(i, bit) for each.
+template <typename Set>
+void read_mask(serialize::BinaryReader& r, std::size_t n, Set set) {
+  std::uint8_t byte = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 8 == 0) byte = r.u8();
+    set(i, static_cast<std::uint8_t>((byte >> (i % 8)) & 1));
+  }
+}
+
+}  // namespace
+
 MfModel::MfModel(const MfConfig& config, Rng& init_rng)
     : config_(config),
-      user_embeddings_(config.lazy_user_rows ? 0 : config.n_users,
-                       config.embedding_dim),
+      user_seed_(init_rng.next_u64()),
       item_embeddings_(config.n_items, config.embedding_dim),
-      user_bias_(config.lazy_user_rows ? 0 : config.n_users, 0.0f),
       item_bias_(config.n_items, 0.0f),
-      seen_user_(config.lazy_user_rows ? 0 : config.n_users, 0),
       seen_item_(config.n_items, 0) {
   REX_REQUIRE(config.n_users > 0 && config.n_items > 0,
               "MF model dimensions must be positive");
   REX_REQUIRE(config.embedding_dim > 0, "embedding dim must be positive");
-  if (!lazy()) user_embeddings_.randomize_normal(init_rng, config.init_stddev);
   item_embeddings_.randomize_normal(init_rng, config.init_stddev);
+  if (rows_in_user_order()) {
+    user_rows_.resize(config.n_users * config.embedding_dim);
+    user_bias_.assign(config.n_users, 0.0f);
+    seen_user_.assign(config.n_users, 0);
+    for (data::UserId u = 0; u < config.n_users; ++u) {
+      init_user_row(u, slot_row(u));
+    }
+  }
 }
 
 std::unique_ptr<RecModel> MfModel::clone() const {
   return std::make_unique<MfModel>(*this);
 }
 
-// ===== Lazy user-row store (DESIGN.md §10) =====
+// ===== User-row store (DESIGN.md §10) =====
 
 std::size_t MfModel::find_user_slot(data::UserId u) const {
+  if (rows_in_user_order()) return u;
   const auto it = std::lower_bound(
       user_slots_.begin(), user_slots_.end(), u,
       [](const auto& entry, data::UserId user) { return entry.first < user; });
@@ -40,68 +72,42 @@ std::size_t MfModel::find_user_slot(data::UserId u) const {
   return it->second;
 }
 
-void MfModel::seeded_user_row(data::UserId u, std::span<float> out) const {
-  Rng rng = Rng(config_.lazy_init_seed).derive(u);
+void MfModel::init_user_row(data::UserId u, std::span<float> out) const {
+  Rng rng = Rng(user_seed_).derive(u);
   for (float& v : out) {
     v = static_cast<float>(rng.normal(0.0, config_.init_stddev));
   }
 }
 
 std::size_t MfModel::ensure_user_slot(data::UserId u) {
+  if (rows_in_user_order()) return u;
   const auto it = std::lower_bound(
       user_slots_.begin(), user_slots_.end(), u,
       [](const auto& entry, data::UserId user) { return entry.first < user; });
   if (it != user_slots_.end() && it->first == u) return it->second;
-  const std::size_t slot = lazy_user_bias_.size();
+  const std::size_t slot = user_bias_.size();
   user_slots_.insert(it, {u, static_cast<std::uint32_t>(slot)});
-  lazy_user_rows_.resize(lazy_user_rows_.size() + config_.embedding_dim);
-  seeded_user_row(u, std::span<float>(lazy_user_rows_)
-                         .subspan(slot * config_.embedding_dim,
-                                  config_.embedding_dim));
-  lazy_user_bias_.push_back(0.0f);
-  lazy_seen_user_.push_back(0);
+  user_rows_.resize(user_rows_.size() + config_.embedding_dim);
+  init_user_row(u, slot_row(slot));
+  user_bias_.push_back(0.0f);
+  seen_user_.push_back(0);
   return slot;
 }
 
 std::span<const float> MfModel::user_row(data::UserId u) const {
-  if (!lazy()) return user_embeddings_.row(u);
   const std::size_t slot = find_user_slot(u);
-  if (slot != kNoSlot) {
-    return std::span<const float>(lazy_user_rows_)
-        .subspan(slot * config_.embedding_dim, config_.embedding_dim);
-  }
+  if (slot != kNoSlot) return slot_row(slot);
   // Unmaterialized read: the row a future write would materialize, computed
   // into per-thread scratch so pure reads never allocate per-node storage.
   static thread_local std::vector<float> scratch;
   scratch.resize(config_.embedding_dim);
-  seeded_user_row(u, scratch);
+  init_user_row(u, scratch);
   return scratch;
 }
 
-std::span<float> MfModel::user_row_mut(data::UserId u) {
-  if (!lazy()) return user_embeddings_.row(u);
-  const std::size_t slot = ensure_user_slot(u);
-  return std::span<float>(lazy_user_rows_)
-      .subspan(slot * config_.embedding_dim, config_.embedding_dim);
-}
-
 float MfModel::user_bias_at(data::UserId u) const {
-  if (!lazy()) return user_bias_[u];
   const std::size_t slot = find_user_slot(u);
-  return slot == kNoSlot ? 0.0f : lazy_user_bias_[slot];
-}
-
-float& MfModel::user_bias_ref(data::UserId u) {
-  if (!lazy()) return user_bias_[u];
-  return lazy_user_bias_[ensure_user_slot(u)];
-}
-
-void MfModel::mark_user_seen(data::UserId u) {
-  if (!lazy()) {
-    seen_user_[u] = 1;
-    return;
-  }
-  lazy_seen_user_[ensure_user_slot(u)] = 1;
+  return slot == kNoSlot ? 0.0f : user_bias_[slot];
 }
 
 float MfModel::predict(data::UserId user, data::ItemId item) const {
@@ -139,16 +145,19 @@ void MfModel::sgd_step(const data::Rating& rating) {
   const auto i = rating.item;
   REX_REQUIRE(u < config_.n_users && i < config_.n_items,
               "rating index out of range");
-  const float error = rating.value - predict(u, i);
+  const std::size_t slot = ensure_user_slot(u);
+  const auto x = slot_row(slot);
+  const auto y = item_embeddings_.row(i);
+  float& bu = user_bias_[slot];
+  // predict(u, i), term for term.
+  const float error = rating.value - (config_.global_mean + bu +
+                                      item_bias_[i] + linalg::dot(x, y));
   const float lr = config_.learning_rate;
   const float lambda = config_.regularization;
 
-  float& bu = user_bias_ref(u);
   bu += lr * (error - lambda * bu);
   item_bias_[i] += lr * (error - lambda * item_bias_[i]);
 
-  auto x = user_row_mut(u);
-  auto y = item_embeddings_.row(i);
   if (config_.embedding_dim < linalg::kSimdThreshold) {
     // Paper-scale dims (k = 2..10) stay inline; same ops as the kernel.
     for (std::size_t l = 0; l < config_.embedding_dim; ++l) {
@@ -160,7 +169,7 @@ void MfModel::sgd_step(const data::Rating& rating) {
     linalg::simd::mf_sgd_rows(x.data(), y.data(), config_.embedding_dim,
                               error, lr, lambda);
   }
-  mark_user_seen(u);
+  seen_user_[slot] = 1;
   seen_item_[i] = 1;
 }
 
@@ -225,36 +234,41 @@ void MfModel::merge(std::span<const MergeSource> sources, double self_weight) {
   // and later peers axpy on top — no zero-filled temp row, no copy-back.
   // The rounding sequence (one multiply per term, one add per sum step) is
   // identical to the old accumulator's, so merges are bit-stable.
-  // Lazy stores walk the same dense index space: a seen row is always
-  // materialized, so peer reads never hit the seeded-scratch path, and a
-  // row nobody participates in is skipped before any slot is created.
+  // Stores that materialize on demand walk the same user index space: a
+  // seen row is always materialized, and a row nobody participates in is
+  // skipped before any slot is created.
+  std::vector<std::size_t> peer_slots(peers.size());
   for (data::UserId u = 0; u < config_.n_users; ++u) {
-    const bool self_seen = has_seen_user(u);
+    const bool self_seen = seen_user_slot(u) != kNoSlot;
     double total = self_seen ? self_weight : 0.0;
     for (std::size_t s = 0; s < peers.size(); ++s) {
-      if (peers[s]->has_seen_user(u)) total += sources[s].weight;
+      peer_slots[s] = peers[s]->seen_user_slot(u);
+      if (peer_slots[s] != kNoSlot) total += sources[s].weight;
     }
     if (total <= 0.0) continue;
-    const auto row = user_row_mut(u);
+    const std::size_t slot = ensure_user_slot(u);
+    const auto row = slot_row(slot);
     const float self_w =
         self_seen ? static_cast<float>(self_weight / total) : 0.0f;
-    float bias = self_seen ? self_w * user_bias_at(u) : 0.0f;
+    float bias = self_seen ? self_w * user_bias_[slot] : 0.0f;
     bool fused = false;  // row already rescaled into the weighted sum
     for (std::size_t s = 0; s < peers.size(); ++s) {
-      if (!peers[s]->has_seen_user(u)) continue;
+      if (peer_slots[s] == kNoSlot) continue;
+      const MfModel& peer = *peers[s];
       const float w = static_cast<float>(sources[s].weight / total);
       if (!fused) {
-        linalg::weighted_sum_inplace(row, self_w, peers[s]->user_row(u), w);
+        linalg::weighted_sum_inplace(row, self_w,
+                                     peer.slot_row(peer_slots[s]), w);
         fused = true;
       } else {
-        linalg::axpy(w, peers[s]->user_row(u), row);
+        linalg::axpy(w, peer.slot_row(peer_slots[s]), row);
       }
-      bias += w * peers[s]->user_bias_at(u);
-      mark_user_seen(u);  // row knowledge propagates with the merge
+      bias += w * peer.user_bias_[peer_slots[s]];
+      seen_user_[slot] = 1;  // row knowledge propagates with the merge
     }
     // Self the only participant degenerates to w_self == 1: row and bias
     // are left exactly as they were.
-    user_bias_ref(u) = bias;
+    user_bias_[slot] = bias;
   }
 
   // Item rows: identical policy.
@@ -286,107 +300,44 @@ void MfModel::merge(std::span<const MergeSource> sources, double self_weight) {
   }
 }
 
-void MfModel::dense_user_image(std::vector<float>& rows,
-                               std::vector<float>& bias,
-                               std::vector<std::uint8_t>& seen) const {
-  rows.resize(config_.n_users * config_.embedding_dim);
-  bias.resize(config_.n_users);
-  seen.resize(config_.n_users);
+MfModel::UserImage MfModel::user_image() const {
+  UserImage image;
+  image.rows.resize(config_.n_users * config_.embedding_dim);
+  image.bias.resize(config_.n_users);
+  image.seen.resize(config_.n_users);
   for (data::UserId u = 0; u < config_.n_users; ++u) {
     const auto src = user_row(u);
     std::copy(src.begin(), src.end(),
-              rows.begin() +
+              image.rows.begin() +
                   static_cast<std::ptrdiff_t>(u * config_.embedding_dim));
-    bias[u] = user_bias_at(u);
-    seen[u] = has_seen_user(u) ? 1 : 0;
+    image.bias[u] = user_bias_at(u);
+    image.seen[u] = has_seen_user(u) ? 1 : 0;
   }
+  return image;
 }
 
-Bytes MfModel::serialize() const {
-  serialize::BinaryWriter w;
-  w.str(kind());
-  w.u32(static_cast<std::uint32_t>(config_.n_users));
-  w.u32(static_cast<std::uint32_t>(config_.n_items));
-  w.u32(static_cast<std::uint32_t>(config_.embedding_dim));
-  std::vector<float> dense_rows, dense_bias;
-  std::vector<std::uint8_t> dense_seen;
-  if (lazy()) dense_user_image(dense_rows, dense_bias, dense_seen);
-  const std::span<const float> urows =
-      lazy() ? std::span<const float>(dense_rows) : user_embeddings_.flat();
-  const std::vector<float>& ubias = lazy() ? dense_bias : user_bias_;
-  const std::vector<std::uint8_t>& useen = lazy() ? dense_seen : seen_user_;
-  w.f32_array(urows);
-  w.f32_array(item_embeddings_.flat());
-  w.f32_array(ubias);
-  w.f32_array(item_bias_);
-  // Seen masks, bit-packed.
-  const auto write_mask = [&w](const std::vector<std::uint8_t>& mask) {
-    std::uint8_t byte = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      byte |= static_cast<std::uint8_t>((mask[i] & 1) << (i % 8));
-      if (i % 8 == 7 || i + 1 == mask.size()) {
-        w.u8(byte);
-        byte = 0;
-      }
-    }
-  };
-  write_mask(useen);
-  write_mask(seen_item_);
-  return w.take();
-}
-
-void MfModel::deserialize(BytesView payload) {
-  serialize::BinaryReader r(payload);
-  const std::string magic = r.str();
-  if (magic == "mfq") {
-    deserialize_quantized(r);
-    return;
-  }
-  if (magic == "mfs") {
-    deserialize_sliced(r);
-    return;
-  }
-  REX_REQUIRE(magic == kind(), "payload is not an MF model");
-  REX_REQUIRE(r.u32() == config_.n_users && r.u32() == config_.n_items &&
-                  r.u32() == config_.embedding_dim,
-              "MF model shape mismatch");
-  const auto read_mask = [&r](std::vector<std::uint8_t>& mask) {
-    std::uint8_t byte = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (i % 8 == 0) byte = r.u8();
-      mask[i] = (byte >> (i % 8)) & 1;
-    }
-  };
-  if (!lazy()) {
-    r.f32_array(user_embeddings_.flat());
-    r.f32_array(item_embeddings_.flat());
-    r.f32_array(user_bias_);
-    r.f32_array(item_bias_);
-    read_mask(seen_user_);
-    read_mask(seen_item_);
-    r.expect_end();
-    return;
-  }
-  // A full dense image materializes every row (the values must persist);
-  // rows arrive in user order, so slots append without index shuffling.
+void MfModel::load_user_image(const UserImage& image) {
+  // Rows arrive in user order, so on-demand slots append without index
+  // shuffling.
   for (data::UserId u = 0; u < config_.n_users; ++u) {
-    r.f32_array(user_row_mut(u));
+    const std::size_t slot = ensure_user_slot(u);
+    std::copy_n(image.rows.begin() +
+                    static_cast<std::ptrdiff_t>(u * config_.embedding_dim),
+                config_.embedding_dim, slot_row(slot).begin());
+    user_bias_[slot] = image.bias[u];
+    seen_user_[slot] = image.seen[u];
   }
-  r.f32_array(item_embeddings_.flat());
-  for (data::UserId u = 0; u < config_.n_users; ++u) {
-    user_bias_ref(u) = r.f32();
-  }
-  r.f32_array(item_bias_);
-  std::vector<std::uint8_t> mask(config_.n_users);
-  read_mask(mask);
-  for (data::UserId u = 0; u < config_.n_users; ++u) {
-    lazy_seen_user_[find_user_slot(u)] = mask[u];
-  }
-  read_mask(seen_item_);
-  r.expect_end();
 }
 
 namespace {
+
+void write_f32_tensor(serialize::BinaryWriter& w, std::span<const float> t) {
+  w.f32_array(t);
+}
+
+void read_f32_tensor(serialize::BinaryReader& r, std::span<float> t) {
+  r.f32_array(t);
+}
 
 /// q8 affine tensor codec: (min, scale, one byte per value). scale is
 /// chosen so code 255 hits max exactly; a constant tensor degenerates to
@@ -424,81 +375,59 @@ std::size_t slice_rows(std::size_t n, std::uint32_t count,
 
 }  // namespace
 
-Bytes MfModel::serialize_quantized() const {
+Bytes MfModel::encode(const char* magic, TensorWriter write) const {
+  const UserImage users = user_image();
   serialize::BinaryWriter w;
-  w.str("mfq");
+  w.str(magic);
   w.u32(static_cast<std::uint32_t>(config_.n_users));
   w.u32(static_cast<std::uint32_t>(config_.n_items));
   w.u32(static_cast<std::uint32_t>(config_.embedding_dim));
-  std::vector<float> dense_rows, dense_bias;
-  std::vector<std::uint8_t> dense_seen;
-  if (lazy()) dense_user_image(dense_rows, dense_bias, dense_seen);
-  const std::span<const float> urows =
-      lazy() ? std::span<const float>(dense_rows) : user_embeddings_.flat();
-  const std::vector<float>& ubias = lazy() ? dense_bias : user_bias_;
-  const std::vector<std::uint8_t>& useen = lazy() ? dense_seen : seen_user_;
-  write_q8_tensor(w, urows);
-  write_q8_tensor(w, item_embeddings_.flat());
-  write_q8_tensor(w, ubias);
-  write_q8_tensor(w, item_bias_);
-  const auto write_mask = [&w](const std::vector<std::uint8_t>& mask) {
-    std::uint8_t byte = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      byte |= static_cast<std::uint8_t>((mask[i] & 1) << (i % 8));
-      if (i % 8 == 7 || i + 1 == mask.size()) {
-        w.u8(byte);
-        byte = 0;
-      }
-    }
-  };
-  write_mask(useen);
-  write_mask(seen_item_);
+  write(w, users.rows);
+  write(w, item_embeddings_.flat());
+  write(w, users.bias);
+  write(w, item_bias_);
+  write_mask(w, config_.n_users, [&](std::size_t u) { return users.seen[u]; });
+  write_mask(w, config_.n_items, [&](std::size_t i) { return seen_item_[i]; });
   return w.take();
 }
 
-void MfModel::deserialize_quantized(serialize::BinaryReader& r) {
+void MfModel::decode(serialize::BinaryReader& r, TensorReader read) {
   REX_REQUIRE(r.u32() == config_.n_users && r.u32() == config_.n_items &&
                   r.u32() == config_.embedding_dim,
               "MF model shape mismatch");
-  const auto read_mask = [&r](std::vector<std::uint8_t>& mask) {
-    std::uint8_t byte = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (i % 8 == 0) byte = r.u8();
-      mask[i] = (byte >> (i % 8)) & 1;
-    }
-  };
-  if (!lazy()) {
-    read_q8_tensor(r, user_embeddings_.flat());
-    read_q8_tensor(r, item_embeddings_.flat());
-    read_q8_tensor(r, user_bias_);
-    read_q8_tensor(r, item_bias_);
-    read_mask(seen_user_);
-    read_mask(seen_item_);
-    r.expect_end();
-    return;
-  }
-  // Quantized tensors decode as one block; scatter through the lazy store
-  // (materializes every row, same as the dense codec).
-  std::vector<float> dense_rows(config_.n_users * config_.embedding_dim);
-  std::vector<float> dense_bias(config_.n_users);
-  read_q8_tensor(r, dense_rows);
-  read_q8_tensor(r, item_embeddings_.flat());
-  read_q8_tensor(r, dense_bias);
-  read_q8_tensor(r, item_bias_);
-  for (data::UserId u = 0; u < config_.n_users; ++u) {
-    const auto dst = user_row_mut(u);
-    std::copy_n(dense_rows.begin() +
-                    static_cast<std::ptrdiff_t>(u * config_.embedding_dim),
-                config_.embedding_dim, dst.begin());
-    user_bias_ref(u) = dense_bias[u];
-  }
-  std::vector<std::uint8_t> mask(config_.n_users);
-  read_mask(mask);
-  for (data::UserId u = 0; u < config_.n_users; ++u) {
-    lazy_seen_user_[find_user_slot(u)] = mask[u];
-  }
-  read_mask(seen_item_);
+  UserImage users;
+  users.rows.resize(config_.n_users * config_.embedding_dim);
+  users.bias.resize(config_.n_users);
+  users.seen.resize(config_.n_users);
+  read(r, users.rows);
+  read(r, item_embeddings_.flat());
+  read(r, users.bias);
+  read(r, item_bias_);
+  read_mask(r, config_.n_users,
+            [&](std::size_t u, std::uint8_t bit) { users.seen[u] = bit; });
+  read_mask(r, config_.n_items,
+            [&](std::size_t i, std::uint8_t bit) { seen_item_[i] = bit; });
   r.expect_end();
+  load_user_image(users);
+}
+
+Bytes MfModel::serialize() const { return encode(kind(), write_f32_tensor); }
+
+Bytes MfModel::serialize_quantized() const {
+  return encode("mfq", write_q8_tensor);
+}
+
+void MfModel::deserialize(BytesView payload) {
+  serialize::BinaryReader r(payload);
+  const std::string magic = r.str();
+  if (magic == "mfq") {
+    decode(r, read_q8_tensor);
+  } else if (magic == "mfs") {
+    deserialize_sliced(r);
+  } else {
+    REX_REQUIRE(magic == kind(), "payload is not an MF model");
+    decode(r, read_f32_tensor);
+  }
 }
 
 Bytes MfModel::serialize_sliced(std::uint32_t slice_count,
@@ -514,51 +443,26 @@ Bytes MfModel::serialize_sliced(std::uint32_t slice_count,
   w.u32(slice_count);
   w.u32(slice_index);
   // Slice rows are fully determined by (count, index): no ids on the wire.
-  // Row/bias/seen reads go through the user accessors so lazy models emit
-  // the same bytes as eager ones.
-  const auto write_user_rows = [&] {
-    std::uint8_t packed = 0;
-    std::size_t bit = 0;
-    for (std::size_t row = slice_index; row < config_.n_users;
-         row += slice_count) {
-      w.f32_array(user_row(static_cast<data::UserId>(row)));
-      w.f32(user_bias_at(static_cast<data::UserId>(row)));
+  // Each tensor sends its slice rows with their biases, then their seen
+  // bits packed.
+  const auto write_slice = [&](std::size_t n, auto row, auto bias,
+                               auto seen) {
+    for (std::size_t r = slice_index; r < n; r += slice_count) {
+      w.f32_array(row(r));
+      w.f32(bias(r));
     }
-    for (std::size_t row = slice_index; row < config_.n_users;
-         row += slice_count) {
-      const std::uint8_t bitval =
-          has_seen_user(static_cast<data::UserId>(row)) ? 1 : 0;
-      packed |= static_cast<std::uint8_t>(bitval << (bit % 8));
-      if (bit % 8 == 7) {
-        w.u8(packed);
-        packed = 0;
-      }
-      ++bit;
-    }
-    if (bit % 8 != 0) w.u8(packed);
+    write_mask(w, slice_rows(n, slice_count, slice_index),
+               [&](std::size_t b) { return seen(slice_index + b * slice_count); });
   };
-  const auto write_rows = [&](const linalg::Matrix& emb,
-                              const std::vector<float>& bias,
-                              const std::vector<std::uint8_t>& mask,
-                              std::size_t n) {
-    std::uint8_t packed = 0;
-    std::size_t bit = 0;
-    for (std::size_t row = slice_index; row < n; row += slice_count) {
-      w.f32_array(emb.row(row));
-      w.f32(bias[row]);
-    }
-    for (std::size_t row = slice_index; row < n; row += slice_count) {
-      packed |= static_cast<std::uint8_t>((mask[row] & 1) << (bit % 8));
-      if (bit % 8 == 7) {
-        w.u8(packed);
-        packed = 0;
-      }
-      ++bit;
-    }
-    if (bit % 8 != 0) w.u8(packed);
-  };
-  write_user_rows();
-  write_rows(item_embeddings_, item_bias_, seen_item_, config_.n_items);
+  write_slice(
+      config_.n_users, [this](std::size_t u) { return user_row(u); },
+      [this](std::size_t u) { return user_bias_at(u); },
+      [this](std::size_t u) { return has_seen_user(u) ? 1 : 0; });
+  write_slice(
+      config_.n_items,
+      [this](std::size_t i) { return item_embeddings_.row(i); },
+      [this](std::size_t i) { return item_bias_[i]; },
+      [this](std::size_t i) { return seen_item_[i]; });
   return w.take();
 }
 
@@ -569,59 +473,35 @@ void MfModel::deserialize_sliced(serialize::BinaryReader& r) {
   const std::uint32_t count = r.u32();
   const std::uint32_t index = r.u32();
   REX_REQUIRE(count > 1 && index < count, "invalid MF slice spec");
-  const auto read_user_rows = [&] {
-    // Same policy as the eager path: only slice rows keep their seen bits.
-    // Unmaterialized non-slice rows are already unseen; materialized ones
-    // clear per slot.
-    std::fill(lazy_seen_user_.begin(), lazy_seen_user_.end(),
-              std::uint8_t{0});
-    for (std::size_t row = index; row < config_.n_users; row += count) {
-      r.f32_array(user_row_mut(static_cast<data::UserId>(row)));
-      user_bias_ref(static_cast<data::UserId>(row)) = r.f32();
-    }
-    const std::size_t rows = slice_rows(config_.n_users, count, index);
-    std::uint8_t packed = 0;
-    std::size_t bit = 0;
-    for (std::size_t row = index; row < config_.n_users; row += count) {
-      if (bit % 8 == 0) packed = r.u8();
-      lazy_seen_user_[find_user_slot(static_cast<data::UserId>(row))] =
-          (packed >> (bit % 8)) & 1;
-      ++bit;
-    }
-    REX_CHECK(bit == rows, "MF slice row count mismatch");
-  };
-  const auto read_rows = [&](linalg::Matrix& emb, std::vector<float>& bias,
-                             std::vector<std::uint8_t>& mask, std::size_t n) {
-    // Non-slice rows must not participate in merges: clear every seen bit,
-    // then restore the slice rows' bits from the wire.
-    std::fill(mask.begin(), mask.end(), std::uint8_t{0});
-    for (std::size_t row = index; row < n; row += count) {
-      r.f32_array(emb.row(row));
-      bias[row] = r.f32();
-    }
-    const std::size_t rows = slice_rows(n, count, index);
-    std::uint8_t packed = 0;
-    std::size_t bit = 0;
-    for (std::size_t row = index; row < n; row += count) {
-      if (bit % 8 == 0) packed = r.u8();
-      mask[row] = (packed >> (bit % 8)) & 1;
-      ++bit;
-    }
-    REX_CHECK(bit == rows, "MF slice row count mismatch");
-  };
-  if (lazy()) {
-    read_user_rows();
-  } else {
-    read_rows(user_embeddings_, user_bias_, seen_user_, config_.n_users);
+  // Non-slice rows must not participate in merges: every seen bit clears
+  // (rows not yet materialized are unseen already), then the slice rows'
+  // bits come back from the wire.
+  std::fill(seen_user_.begin(), seen_user_.end(), std::uint8_t{0});
+  std::fill(seen_item_.begin(), seen_item_.end(), std::uint8_t{0});
+  for (std::size_t u = index; u < config_.n_users; u += count) {
+    const std::size_t slot = ensure_user_slot(static_cast<data::UserId>(u));
+    r.f32_array(slot_row(slot));
+    user_bias_[slot] = r.f32();
   }
-  read_rows(item_embeddings_, item_bias_, seen_item_, config_.n_items);
+  read_mask(r, slice_rows(config_.n_users, count, index),
+            [&](std::size_t b, std::uint8_t bit) {
+              seen_user_[find_user_slot(
+                  static_cast<data::UserId>(index + b * count))] = bit;
+            });
+  for (std::size_t i = index; i < config_.n_items; i += count) {
+    r.f32_array(item_embeddings_.row(i));
+    item_bias_[i] = r.f32();
+  }
+  read_mask(r, slice_rows(config_.n_items, count, index),
+            [&](std::size_t b, std::uint8_t bit) {
+              seen_item_[index + b * count] = bit;
+            });
   r.expect_end();
 }
 
 std::size_t MfModel::parameter_count() const {
-  // Logical (dense) parameter count, independent of the lazy layout: the
-  // wire codecs always carry the full tensors, and merge counters must stay
-  // comparable across the knob.
+  // Logical (dense) parameter count, whichever user rows are materialized:
+  // the wire codecs always carry the full tensors.
   return (config_.n_users + config_.n_items) * config_.embedding_dim +
          config_.n_users + config_.n_items;
 }
@@ -633,22 +513,14 @@ std::size_t MfModel::wire_size() const {
 }
 
 std::size_t MfModel::memory_footprint() const {
-  // Actual allocation, not the logical dense size: with lazy user rows this
-  // is what the per-node memory ledger (and the mega-scale bytes/node gate)
-  // must see.
-  std::size_t bytes =
-      (item_embeddings_.size() + item_bias_.size()) * sizeof(float) +
-      seen_item_.size();
-  if (lazy()) {
-    bytes += (lazy_user_rows_.size() + lazy_user_bias_.size()) *
-                 sizeof(float) +
-             lazy_seen_user_.size() +
-             user_slots_.size() * sizeof(user_slots_[0]);
-  } else {
-    bytes += (user_embeddings_.size() + user_bias_.size()) * sizeof(float) +
-             seen_user_.size();
-  }
-  return bytes;
+  // Actual allocation, not the logical dense size: with rows materialized
+  // on demand this is what the per-node memory ledger (and the mega-scale
+  // bytes/node gate) must see.
+  return (item_embeddings_.size() + item_bias_.size() + user_rows_.size() +
+          user_bias_.size()) *
+             sizeof(float) +
+         seen_item_.size() + seen_user_.size() +
+         user_slots_.size() * sizeof(user_slots_[0]);
 }
 
 }  // namespace rex::ml

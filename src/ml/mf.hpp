@@ -12,6 +12,7 @@
 
 namespace rex::serialize {
 class BinaryReader;
+class BinaryWriter;
 }
 
 namespace rex::ml {
@@ -25,21 +26,15 @@ struct MfConfig {
   float init_stddev = 0.1f;              // embedding init scale
   float global_mean = 3.5f;              // mu (dataset mean; fixed, not learned)
   std::size_t sgd_steps_per_epoch = 500; // fixed-batches rule (§III-E)
-  /// Lazy user rows (DESIGN.md §10): skip the dense n_users × k user matrix
-  /// and materialize a row on first write, with init values derived
-  /// order-independently from `lazy_init_seed` and the user id — so any
-  /// materialization order (and any worker-thread count) yields identical
-  /// values. At one-user-per-node scale the dense user matrix dominates
-  /// per-node memory while each node ever touches a handful of rows. This
-  /// changes which draws the shared init stream produces, so results are
-  /// only comparable within one setting of the knob.
-  bool lazy_user_rows = false;
-  std::uint64_t lazy_init_seed = 0;
 };
 
 class MfModel final : public RecModel {
  public:
-  /// Initializes embeddings from `init_rng`; biases start at zero.
+  /// Initializes embeddings from `init_rng`; biases start at zero. The
+  /// first draw seeds the user rows: row u always starts from a stream
+  /// keyed by that seed and u, whichever order rows materialize in.
+  /// Every user row is materialized up front, in user order, when
+  /// n_users <= n_items; otherwise rows materialize on first write.
   MfModel(const MfConfig& config, Rng& init_rng);
 
   [[nodiscard]] std::unique_ptr<RecModel> clone() const override;
@@ -92,16 +87,15 @@ class MfModel final : public RecModel {
 
   [[nodiscard]] const MfConfig& config() const { return config_; }
   [[nodiscard]] bool has_seen_user(data::UserId u) const {
-    if (!lazy()) return seen_user_[u] != 0;
-    const std::size_t slot = find_user_slot(u);
-    return slot != kNoSlot && lazy_seen_user_[slot] != 0;
+    return seen_user_slot(u) != kNoSlot;
   }
   [[nodiscard]] bool has_seen_item(data::ItemId i) const {
     return seen_item_[i] != 0;
   }
-  /// User rows currently backed by storage (== n_users when eager).
+  /// User rows currently backed by storage (n_users when materialized up
+  /// front).
   [[nodiscard]] std::size_t materialized_user_rows() const {
-    return lazy() ? user_slots_.size() : config_.n_users;
+    return user_bias_.size();
   }
 
   /// One SGD update on a single rating (exposed for tests / benches).
@@ -110,47 +104,68 @@ class MfModel final : public RecModel {
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  void deserialize_quantized(serialize::BinaryReader& r);
+  using TensorWriter = void (*)(serialize::BinaryWriter&,
+                                std::span<const float>);
+  using TensorReader = void (*)(serialize::BinaryReader&, std::span<float>);
+
+  /// The "mf" and "mfq" encodings: the same layout, one tensor codec.
+  [[nodiscard]] Bytes encode(const char* magic, TensorWriter write) const;
+  void decode(serialize::BinaryReader& r, TensorReader read);
   void deserialize_sliced(serialize::BinaryReader& r);
 
-  [[nodiscard]] bool lazy() const { return config_.lazy_user_rows; }
-  /// Slot of user `u` in the lazy store, or kNoSlot (binary search).
+  /// True when every user row lives at slot == user id (no index).
+  [[nodiscard]] bool rows_in_user_order() const {
+    return config_.n_users <= config_.n_items;
+  }
+  /// Slot of user `u`, or kNoSlot while its row is not materialized.
   [[nodiscard]] std::size_t find_user_slot(data::UserId u) const;
-  /// Slot of user `u`, materializing the row with its seeded init values.
+  /// Slot of user `u` if its row has been seen, else kNoSlot.
+  [[nodiscard]] std::size_t seen_user_slot(data::UserId u) const {
+    const std::size_t slot = find_user_slot(u);
+    return slot != kNoSlot && seen_user_[slot] != 0 ? slot : kNoSlot;
+  }
+  /// Slot of user `u`, materializing the row with its init values.
   std::size_t ensure_user_slot(data::UserId u);
-  /// The init values row `u` gets whenever it materializes: drawn from a
-  /// stream keyed only by (lazy_init_seed, u), never from shared state.
-  void seeded_user_row(data::UserId u, std::span<float> out) const;
-  /// Read access; unmaterialized lazy rows are computed into a per-thread
-  /// scratch (valid until the next user_row call on the thread).
+  /// The init values of row `u`: a stream keyed by (user_seed_, u) only.
+  void init_user_row(data::UserId u, std::span<float> out) const;
+  [[nodiscard]] std::span<float> slot_row(std::size_t slot) {
+    return std::span<float>(user_rows_).subspan(
+        slot * config_.embedding_dim, config_.embedding_dim);
+  }
+  [[nodiscard]] std::span<const float> slot_row(std::size_t slot) const {
+    return std::span<const float>(user_rows_).subspan(
+        slot * config_.embedding_dim, config_.embedding_dim);
+  }
+  /// Read access to row `u`; a row not yet materialized reads as its init
+  /// values, computed into a per-thread scratch (valid until the next
+  /// user_row call on the thread).
   [[nodiscard]] std::span<const float> user_row(data::UserId u) const;
-  /// Write access; materializes lazy rows.
-  [[nodiscard]] std::span<float> user_row_mut(data::UserId u);
   [[nodiscard]] float user_bias_at(data::UserId u) const;
-  [[nodiscard]] float& user_bias_ref(data::UserId u);  // materializes
-  void mark_user_seen(data::UserId u);                 // materializes
-  /// Dense snapshot of the lazy user tensors (wire codecs only): rows in
-  /// user order, unmaterialized rows filled with their seeded init values,
-  /// so lazy and eager models with the same logical values emit the same
-  /// bytes.
-  void dense_user_image(std::vector<float>& rows, std::vector<float>& bias,
-                        std::vector<std::uint8_t>& seen) const;
+  /// The user tensors in user order, as the codecs carry them.
+  struct UserImage {
+    std::vector<float> rows;
+    std::vector<float> bias;
+    std::vector<std::uint8_t> seen;
+  };
+  /// Snapshot of every user row; unmaterialized rows read as their init
+  /// values, unseen with a zero bias.
+  [[nodiscard]] UserImage user_image() const;
+  /// Stores a full user image (materializes every row).
+  void load_user_image(const UserImage& image);
 
   MfConfig config_;
-  linalg::Matrix user_embeddings_;   // n_users x k (0 rows when lazy)
-  linalg::Matrix item_embeddings_;   // n_items x k (always dense)
-  std::vector<float> user_bias_;     // b (empty when lazy)
+  std::uint64_t user_seed_;          // keys every user row's init stream
+  linalg::Matrix item_embeddings_;   // n_items x k
   std::vector<float> item_bias_;     // c
-  std::vector<std::uint8_t> seen_user_;  // empty when lazy
   std::vector<std::uint8_t> seen_item_;
 
-  // Lazy user-row store (config_.lazy_user_rows; DESIGN.md §10): rows live
-  // slot-major in materialization order; user_slots_ maps user -> slot and
-  // stays sorted by user id for binary search.
+  // User-row store (DESIGN.md §10): k floats, a bias and a seen byte per
+  // slot. user_slots_ maps user -> slot, sorted by user id; it stays empty
+  // when rows are in user order (slot == user).
+  std::vector<float> user_rows_;
+  std::vector<float> user_bias_;     // b
+  std::vector<std::uint8_t> seen_user_;
   std::vector<std::pair<data::UserId, std::uint32_t>> user_slots_;
-  std::vector<float> lazy_user_rows_;   // k floats per slot
-  std::vector<float> lazy_user_bias_;
-  std::vector<std::uint8_t> lazy_seen_user_;
 };
 
 }  // namespace rex::ml

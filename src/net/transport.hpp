@@ -56,12 +56,6 @@ struct EnvelopeFifo {
     }
     return env;
   }
-  /// Releases the backing storage (freed-on-churn-down diet).
-  void release_storage() {
-    REX_REQUIRE(empty(), "releasing a non-empty mailbox");
-    items = std::vector<Envelope>{};
-    head = 0;
-  }
 };
 
 /// Cumulative per-node traffic counters.
@@ -166,17 +160,6 @@ class Transport {
     traffic.total.bytes_received += wire;
     traffic.epoch.messages_received++;
     traffic.epoch.bytes_received += wire;
-  }
-
-  /// Frees the backing storage of `node`'s (drained) mailboxes — the
-  /// freed-on-churn-down memory diet (DESIGN.md §10). Queues that still
-  /// hold envelopes keep their storage. Serial phase only.
-  void release_node_storage(NodeId node) {
-    check_node(node);
-    if (outboxes_[node].empty()) outboxes_[node].release_storage();
-    for (EnvelopeFifo& shard : inboxes_[node]) {
-      if (shard.empty()) shard.release_storage();
-    }
   }
 
   // ===== Accounting =====

@@ -9,6 +9,8 @@
 // from the runtime's EpcModel.
 #pragma once
 
+#include <algorithm>
+
 #include "core/epoch_counters.hpp"
 #include "core/untrusted_host.hpp"
 #include "sim/link_model.hpp"
@@ -65,6 +67,27 @@ struct StageTimes {
   SimTime test;
 
   [[nodiscard]] SimTime total() const { return merge + train + share + test; }
+
+  // Elementwise: every operator applies to each stage on its own.
+  StageTimes& operator+=(const StageTimes& other) {
+    merge += other.merge;
+    train += other.train;
+    share += other.share;
+    test += other.test;
+    return *this;
+  }
+  friend StageTimes operator*(const StageTimes& t, double factor) {
+    return {t.merge * factor, t.train * factor, t.share * factor,
+            t.test * factor};
+  }
+  friend StageTimes operator/(const StageTimes& t, double count) {
+    return {SimTime{t.merge.seconds / count}, SimTime{t.train.seconds / count},
+            SimTime{t.share.seconds / count}, SimTime{t.test.seconds / count}};
+  }
+  friend StageTimes max(const StageTimes& a, const StageTimes& b) {
+    return {std::max(a.merge, b.merge), std::max(a.train, b.train),
+            std::max(a.share, b.share), std::max(a.test, b.test)};
+  }
 };
 
 class CostModel {

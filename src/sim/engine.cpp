@@ -201,38 +201,12 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
   const std::size_t n = hosts_.size();
   REX_REQUIRE(shards.size() == n, "one shard per node required");
   transport_.reset_epoch_stats();
-  if (config_.lean_memory) {
-    // Concatenate the per-node test sets into one engine-owned buffer
-    // (DESIGN.md §10); each node gets a read-only span instead of a copy.
-    // Built serially before the parallel init so the storage never moves
-    // while spans into it exist.
-    std::size_t total = 0;
-    for (const data::NodeShard& shard : shards) total += shard.test.size();
-    shared_test_storage_.reserve(total);
-    shared_test_offsets_.resize(n + 1);
-    for (std::size_t id = 0; id < n; ++id) {
-      shared_test_offsets_[id] = shared_test_storage_.size();
-      shared_test_storage_.insert(shared_test_storage_.end(),
-                                  shards[id].test.begin(),
-                                  shards[id].test.end());
-      shards[id].test = std::vector<data::Rating>{};
-    }
-    shared_test_offsets_[n] = shared_test_storage_.size();
-  }
   // Uniform per-node cost: static block split (parallel_for) is enough.
   pool_.parallel_for(n, [&](std::size_t id) {
     hosts_[id].runtime().reset_epoch_counters();
     core::TrustedInit init;
     init.local_train = std::move(shards[id].train);
-    if (config_.lean_memory) {
-      init.shared_test =
-          std::span<const data::Rating>(shared_test_storage_)
-              .subspan(shared_test_offsets_[id],
-                       shared_test_offsets_[id + 1] -
-                           shared_test_offsets_[id]);
-    } else {
-      init.local_test = std::move(shards[id].test);
-    }
+    init.local_test = std::move(shards[id].test);
     init.neighbors.assign(
         topology_.neighbors(static_cast<core::NodeId>(id)).begin(),
         topology_.neighbors(static_cast<core::NodeId>(id)).end());
@@ -330,11 +304,7 @@ void SimEngine::collect_round_record() {
     if (config_.dynamics.heterogeneous()) {
       // Same per-node draw sequence as the event engine, so barrier-vs-async
       // comparisons see the same straggler realizations.
-      const double factor = epoch_slowdown(id);
-      stages.merge = stages.merge * factor;
-      stages.train = stages.train * factor;
-      stages.share = stages.share * factor;
-      stages.test = stages.test * factor;
+      stages = stages * epoch_slowdown(id);
     }
     note_epochs_done(id, 1);
     if (query_load_.enabled()) {
@@ -348,14 +318,8 @@ void SimEngine::collect_round_record() {
     }
 
     slowest = std::max(slowest, stages.total());
-    record.mean_stages.merge += stages.merge;
-    record.mean_stages.train += stages.train;
-    record.mean_stages.share += stages.share;
-    record.mean_stages.test += stages.test;
-    record.max_stages.merge = std::max(record.max_stages.merge, stages.merge);
-    record.max_stages.train = std::max(record.max_stages.train, stages.train);
-    record.max_stages.share = std::max(record.max_stages.share, stages.share);
-    record.max_stages.test = std::max(record.max_stages.test, stages.test);
+    record.mean_stages += stages;
+    record.max_stages = max(record.max_stages, stages);
 
     rmse_sum += c.rmse;
     record.min_rmse = std::min(record.min_rmse, c.rmse);
@@ -376,10 +340,7 @@ void SimEngine::collect_round_record() {
   const double dn = static_cast<double>(n);
   record.mean_rmse = rmse_sum / dn;
   record.mean_bytes_in_out = bytes_sum / dn;
-  record.mean_stages.merge = SimTime{record.mean_stages.merge.seconds / dn};
-  record.mean_stages.train = SimTime{record.mean_stages.train.seconds / dn};
-  record.mean_stages.share = SimTime{record.mean_stages.share.seconds / dn};
-  record.mean_stages.test = SimTime{record.mean_stages.test.seconds / dn};
+  record.mean_stages = record.mean_stages / dn;
   record.mean_memory_bytes = mem_sum / dn;
   record.mean_store_size = store_sum / dn;
 
@@ -515,14 +476,8 @@ void SimEngine::serial_event_hook(const Event& event) {
       bucket.rmse_min =
           first ? pe.counters.rmse : std::min(bucket.rmse_min, pe.counters.rmse);
       bucket.rmse_max = std::max(bucket.rmse_max, pe.counters.rmse);
-      bucket.stage_sum.merge += pe.stages.merge;
-      bucket.stage_sum.train += pe.stages.train;
-      bucket.stage_sum.share += pe.stages.share;
-      bucket.stage_sum.test += pe.stages.test;
-      bucket.stage_max.merge = std::max(bucket.stage_max.merge, pe.stages.merge);
-      bucket.stage_max.train = std::max(bucket.stage_max.train, pe.stages.train);
-      bucket.stage_max.share = std::max(bucket.stage_max.share, pe.stages.share);
-      bucket.stage_max.test = std::max(bucket.stage_max.test, pe.stages.test);
+      bucket.stage_sum += pe.stages;
+      bucket.stage_max = max(bucket.stage_max, pe.stages);
 
       const net::TrafficStats& cumulative = transport_.stats(event.node);
       net::TrafficStats& mark = nodes_[event.node].traffic_mark;
@@ -906,12 +861,8 @@ void SimEngine::post_epoch(core::NodeId id, SimTime start) {
   core::UntrustedHost& host = hosts_[id];
   NodeStatus& status = nodes_[id];
 
-  const double factor = epoch_slowdown(id);
-  StageTimes stages = cost_model_.stage_times(host);
-  stages.merge = stages.merge * factor;
-  stages.train = stages.train * factor;
-  stages.share = stages.share * factor;
-  stages.test = stages.test * factor;
+  const StageTimes stages =
+      cost_model_.stage_times(host) * epoch_slowdown(id);
 
   const SimTime begin = std::max(start, status.busy_until);
   const SimTime share_release =
@@ -1001,13 +952,6 @@ void SimEngine::post_epoch(core::NodeId id, SimTime start) {
     // wait for the node to come back).
     status.busy_until = std::max(status.busy_until, end + downtime);
     schedule(end + downtime, id, EventKind::kChurnUp);
-    if (config_.lean_memory) {
-      // Idle nodes shed caches (DESIGN.md §10): recycled payload/merge
-      // scratch and drained mailbox storage return on demand after the
-      // rejoin. Serial phase — the transport freelists are safe to touch.
-      host.trusted().release_transient_buffers();
-      transport_.release_node_storage(id);
-    }
   }
 }
 
@@ -1167,10 +1111,7 @@ void SimEngine::finalize_async_records() {
     record.min_rmse = bucket.rmse_min;
     record.max_rmse = bucket.rmse_max;
     record.mean_bytes_in_out = bucket.bytes_sum / dn;
-    record.mean_stages.merge = SimTime{bucket.stage_sum.merge.seconds / dn};
-    record.mean_stages.train = SimTime{bucket.stage_sum.train.seconds / dn};
-    record.mean_stages.share = SimTime{bucket.stage_sum.share.seconds / dn};
-    record.mean_stages.test = SimTime{bucket.stage_sum.test.seconds / dn};
+    record.mean_stages = bucket.stage_sum / dn;
     record.max_stages = bucket.stage_max;
     record.mean_memory_bytes = bucket.mem_sum / dn;
     record.max_memory_bytes = bucket.mem_max;

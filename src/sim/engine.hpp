@@ -145,11 +145,6 @@ class SimEngine {
     /// no kQuery events exist, so schedule sequence numbers — and the
     /// golden dumps they pin — are untouched.
     QueryLoadConfig query_load;
-    /// Mega-scale memory diet (DESIGN.md §10): test sets share one
-    /// engine-owned buffer, and churned-down nodes shed transient caches
-    /// (enclave scratch pools + drained mailbox storage). Off by default —
-    /// the accounting shift is knob-gated like the lazy model layout.
-    bool lean_memory = false;
   };
 
   /// Per-node engine-side state, exposed for tests and benches. All of a
@@ -586,12 +581,6 @@ class SimEngine {
   std::vector<GroupRef> group_refs_;
   std::uint64_t batch_stamp_ = 0;
   std::vector<core::NodeId> batch_nodes_;
-
-  /// Lean-memory shared test buffer (Config::lean_memory; DESIGN.md §10):
-  /// every node's test ratings concatenated once, handed to the enclaves
-  /// as read-only per-node spans instead of per-node owned copies.
-  std::vector<data::Rating> shared_test_storage_;
-  std::vector<std::size_t> shared_test_offsets_;  // n + 1 prefix offsets
 };
 
 }  // namespace rex::sim

@@ -77,8 +77,6 @@ ScenarioInputs prepare_scenario(const Scenario& scenario) {
     config.regularization = scenario.mf_regularization;
     config.global_mean = global_mean;
     config.sgd_steps_per_epoch = scenario.mf_sgd_steps_per_epoch;
-    config.lazy_user_rows = scenario.lean_memory;
-    config.lazy_init_seed = init_seed ^ 0x1A27;
     inputs.model_factory = [config, init_seed](Rng& rng) {
       (void)rng;
       Rng init_rng(init_seed);
@@ -117,7 +115,6 @@ Simulator make_scenario_simulator(const Scenario& scenario,
   setup.dynamics = scenario.dynamics;
   setup.query_load = scenario.query_load;
   setup.faults = scenario.faults;
-  setup.lean_memory = scenario.lean_memory;
   setup.label =
       scenario.label.empty() ? scenario_label(scenario) : scenario.label;
   return Simulator(std::move(setup));

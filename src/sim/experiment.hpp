@@ -69,11 +69,9 @@ struct Scenario {
   std::size_t dnn_batch_size = 32;
   std::size_t dnn_batches_per_epoch = 10;
 
-  /// Mega-scale memory diet (DESIGN.md §10): lazy MF user rows, one shared
-  /// read-only test set across nodes, and transient-buffer release on
-  /// churn-down. Changes init-RNG draw order and the per-node memory
-  /// ledger, so results are only comparable within one knob setting —
-  /// every pre-existing cell keeps this off.
+  /// No effect. The memory diet it once switched on is how every run works
+  /// now (DESIGN.md §10: MF user rows materialize on demand when users
+  /// outnumber items); kept so callers that still set it compile.
   bool lean_memory = false;
 
   std::size_t epochs = 100;

@@ -80,18 +80,8 @@ struct ExperimentResult {
   [[nodiscard]] StageTimes mean_stage_times() const {
     StageTimes acc;
     if (rounds.empty()) return acc;
-    for (const RoundRecord& r : rounds) {
-      acc.merge += r.mean_stages.merge;
-      acc.train += r.mean_stages.train;
-      acc.share += r.mean_stages.share;
-      acc.test += r.mean_stages.test;
-    }
-    const double n = static_cast<double>(rounds.size());
-    acc.merge = SimTime{acc.merge.seconds / n};
-    acc.train = SimTime{acc.train.seconds / n};
-    acc.share = SimTime{acc.share.seconds / n};
-    acc.test = SimTime{acc.test.seconds / n};
-    return acc;
+    for (const RoundRecord& r : rounds) acc += r.mean_stages;
+    return acc / static_cast<double>(rounds.size());
   }
 
   /// Mean per-epoch wall time (Table IV overhead computation).

@@ -54,7 +54,6 @@ Simulator::Simulator(Setup setup)
   engine_config.dynamics = setup.dynamics;
   engine_config.seed = setup.seed;
   engine_config.query_load = setup.query_load;
-  engine_config.lean_memory = setup.lean_memory;
   engine_ = std::make_unique<SimEngine>(rex_, *topology_, hosts_,
                                         *transport_, cost_model_,
                                         *link_model_, *pool_, result_,

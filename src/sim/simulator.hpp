@@ -54,9 +54,6 @@ class Simulator {
     /// flip RexConfig::tolerate_byzantine so the enclaves count-and-discard
     /// instead of aborting the whole run on the first hostile envelope.
     FaultSchedule faults;
-    /// Mega-scale memory diet (DESIGN.md §10): shared test buffer +
-    /// churn-down cache release. See Scenario::lean_memory.
-    bool lean_memory = false;
   };
 
   explicit Simulator(Setup setup);

@@ -176,18 +176,6 @@ class BufferPool {
     return total;
   }
 
-  /// Drops every cached buffer and block shell (freed-on-churn-down diet /
-  /// end-of-phase trim). Capacity only; in-flight blocks are unaffected.
-  void trim() {
-    for (Shard& shard : shards_) {
-      std::lock_guard lock(shard.mutex);
-      shard.free_bytes.clear();
-      shard.free_bytes.shrink_to_fit();
-      for (Block* block : shard.free_blocks) delete block;
-      shard.free_blocks.clear();
-    }
-  }
-
  private:
   struct alignas(64) Shard {  // no false sharing between shard mutexes
     mutable std::mutex mutex;

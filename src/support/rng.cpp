@@ -1,9 +1,5 @@
 #include "support/rng.hpp"
 
-#include <algorithm>
-
-#include "support/error.hpp"
-
 namespace rex {
 
 void Xoshiro256pp::reseed(std::uint64_t seed) {
@@ -19,30 +15,6 @@ Rng Rng::derive(std::uint64_t index) const {
   // with adjacent indices are statistically independent.
   SplitMix64 sm(seed_ ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
   return Rng(sm.next());
-}
-
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
-  REX_REQUIRE(k <= n, "cannot sample more distinct indices than available");
-  // Floyd's algorithm: O(k) expected work, no O(n) scratch.
-  std::vector<std::size_t> result;
-  result.reserve(k);
-  for (std::size_t j = n - k; j < n; ++j) {
-    const std::size_t t = static_cast<std::size_t>(uniform(j + 1));
-    if (std::find(result.begin(), result.end(), t) == result.end()) {
-      result.push_back(t);
-    } else {
-      result.push_back(j);
-    }
-  }
-  return result;
-}
-
-std::vector<std::size_t> Rng::sample_with_replacement(std::size_t n,
-                                                      std::size_t k) {
-  REX_REQUIRE(n > 0, "cannot sample from an empty range");
-  std::vector<std::size_t> result(k);
-  for (auto& idx : result) idx = static_cast<std::size_t>(uniform(n));
-  return result;
 }
 
 }  // namespace rex

@@ -110,14 +110,6 @@ class Rng {
     }
   }
 
-  /// k distinct indices drawn uniformly from [0, n). Requires k <= n.
-  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
-
-  /// k indices drawn uniformly *with replacement* from [0, n). This is the
-  /// paper's "stateless" raw-data sampling (§III-E): duplicates possible.
-  std::vector<std::size_t> sample_with_replacement(std::size_t n,
-                                                   std::size_t k);
-
   Xoshiro256pp& engine() { return engine_; }
 
  private:

@@ -1,8 +1,8 @@
 // Memory layout primitives of the mega-scale profile (DESIGN.md §10):
 // ObjectArena index/address stability, EnvelopeFifo storage recycling, the
-// sharded BufferPool freelists, and the lazy MF user-row store — including
-// the wire contract that lazy and eager models speak byte-identical
-// encodings.
+// sharded BufferPool freelists, and the MF user-row store in both of its
+// shapes (rows materialized up front in user order, or on demand) —
+// including the contract that the shape never changes a value or a byte.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -95,16 +95,6 @@ TEST(EnvelopeFifo, FifoOrderAndStorageRecycling) {
   EXPECT_EQ(fifo.head, 0u);
 }
 
-TEST(EnvelopeFifo, ReleaseStorageRequiresEmpty) {
-  net::EnvelopeFifo fifo;
-  fifo.push_back(make_envelope(1, 2, 9));
-  EXPECT_THROW(fifo.release_storage(), Error);
-  (void)fifo.pop_front();
-  fifo.release_storage();
-  EXPECT_TRUE(fifo.empty());
-  EXPECT_EQ(fifo.items.capacity(), 0u);
-}
-
 // ===== Sharded BufferPool =====
 
 TEST(BufferPool, SingleThreadRecyclesThroughOneShard) {
@@ -154,37 +144,29 @@ TEST(BufferPool, PooledSharedBytesRoundTripsContentsUnderThreads) {
   EXPECT_GT(stats.reused, 0u);  // the loops got warm
 }
 
-TEST(BufferPool, TrimDropsCachedCapacity) {
-  BufferPool pool;
-  for (int i = 0; i < 3; ++i) {
-    Bytes bytes(128, std::uint8_t{0});
-    pool.release(std::move(bytes));
-  }
-  EXPECT_EQ(pool.free_buffers(), 3u);
-  pool.trim();
-  EXPECT_EQ(pool.free_buffers(), 0u);
-  // Post-trim acquires fall through to fresh allocations, not stale blocks.
-  const Bytes fresh = pool.acquire();
-  EXPECT_EQ(fresh.capacity(), 0u);
-}
+// ===== MF user-row store =====
 
-// ===== Lazy MF user rows =====
-
-ml::MfConfig lazy_config() {
+/// More users than items: rows materialize on first write.
+ml::MfConfig on_demand_config() {
   ml::MfConfig config;
   config.n_users = 200;
   config.n_items = 20;
   config.embedding_dim = 4;
   config.sgd_steps_per_epoch = 8;
-  config.lazy_user_rows = true;
-  config.lazy_init_seed = 77;
   return config;
 }
 
-TEST(MfLazyRows, MaterializationAccountingIsPerTouchedUser) {
-  ml::MfConfig config = lazy_config();
+/// The same catalog with no more users than items: every row materialized
+/// up front, in user order.
+ml::MfConfig dense_config() {
+  ml::MfConfig config = on_demand_config();
+  config.n_users = config.n_items;
+  return config;
+}
+
+TEST(MfUserRows, OnDemandMaterializationIsPerTouchedUser) {
   Rng rng(5);
-  ml::MfModel model(config, rng);
+  ml::MfModel model(on_demand_config(), rng);
   EXPECT_EQ(model.materialized_user_rows(), 0u);
   model.sgd_step({3, 1, 4.0f});
   model.sgd_step({3, 2, 2.0f});  // same user: no new row
@@ -194,84 +176,142 @@ TEST(MfLazyRows, MaterializationAccountingIsPerTouchedUser) {
   EXPECT_TRUE(model.has_seen_user(117));
   EXPECT_FALSE(model.has_seen_user(4));
 
-  // The footprint claim behind the diet: a lazy model storing 2 of 200
-  // rows undercuts the eager layout, while the logical parameter count
-  // (the counters the paper's tables report) is unchanged.
-  ml::MfConfig eager = config;
-  eager.lazy_user_rows = false;
-  Rng eager_rng(5);
-  const ml::MfModel dense(eager, eager_rng);
-  EXPECT_LT(model.memory_footprint(), dense.memory_footprint());
-  EXPECT_EQ(model.parameter_count(), dense.parameter_count());
+  Rng dense_rng(5);
+  const ml::MfModel dense(dense_config(), dense_rng);
+  EXPECT_EQ(dense.materialized_user_rows(), dense_config().n_users);
 }
 
-TEST(MfLazyRows, UnmaterializedReadsMatchMaterializedValues) {
-  // predict() on a never-written row computes the seeded init values into
-  // scratch; the dense wire image materializes the same values. An eager
-  // model fed that image must therefore predict bit-identically.
-  ml::MfConfig config = lazy_config();
+TEST(MfUserRows, OnDemandFootprintGrowsOnlyWithMaterializedRows) {
+  const ml::MfConfig config = on_demand_config();
   Rng rng(5);
-  const ml::MfModel lazy(config, rng);
-  ml::MfConfig eager_config = config;
-  eager_config.lazy_user_rows = false;
-  Rng eager_rng(99);  // init overwritten by deserialize below
-  ml::MfModel eager(eager_config, eager_rng);
-  eager.deserialize(lazy.serialize());
+  ml::MfModel model(config, rng);
+  // Item tensors only: k floats, a bias and a seen byte per item.
+  const std::size_t items =
+      config.n_items * (config.embedding_dim * sizeof(float) +
+                        sizeof(float) + 1);
+  EXPECT_EQ(model.memory_footprint(), items);
+  // One user row: k floats, a bias, a seen byte and its index entry.
+  const std::size_t row = config.embedding_dim * sizeof(float) +
+                          sizeof(float) + 1 +
+                          sizeof(std::pair<data::UserId, std::uint32_t>);
+  (void)model.predict(42, 3);  // reads never materialize
+  EXPECT_EQ(model.memory_footprint(), items);
+  model.sgd_step({42, 3, 4.0f});
+  EXPECT_EQ(model.memory_footprint(), items + row);
+  model.sgd_step({42, 5, 2.0f});  // same row
+  EXPECT_EQ(model.memory_footprint(), items + row);
+  model.sgd_step({7, 5, 2.0f});
+  EXPECT_EQ(model.memory_footprint(), items + 2 * row);
+  // The logical parameter count the paper's tables report is the dense
+  // one, whatever is materialized.
+  EXPECT_EQ(model.parameter_count(),
+            (config.n_users + config.n_items) * (config.embedding_dim + 1));
+}
+
+TEST(MfUserRows, ShapesAgreeOnEverySharedUser) {
+  // Row u starts from a stream keyed by the init seed and u alone: a model
+  // that materializes up front and one that materializes on demand, built
+  // from the same init stream, hold the same rows for every user id they
+  // share — read before any write and after the same writes.
+  Rng dense_rng(8);
+  ml::MfModel dense(dense_config(), dense_rng);
+  Rng on_demand_rng(8);
+  ml::MfModel on_demand(on_demand_config(), on_demand_rng);
+  const auto expect_same = [&](const char* when) {
+    for (data::UserId u = 0; u < dense_config().n_users; ++u) {
+      EXPECT_EQ(dense.has_seen_user(u), on_demand.has_seen_user(u))
+          << when << " user " << u;
+      for (data::ItemId i = 0; i < dense_config().n_items; ++i) {
+        EXPECT_EQ(dense.predict(u, i), on_demand.predict(u, i))
+            << when << " user " << u << ", item " << i;
+      }
+    }
+  };
+  expect_same("fresh");
+  for (const data::Rating r : {data::Rating{3, 1, 4.0f},
+                               data::Rating{19, 0, 5.0f},
+                               data::Rating{3, 7, 1.5f},
+                               data::Rating{0, 7, 2.5f}}) {
+    dense.sgd_step(r);
+    on_demand.sgd_step(r);
+  }
+  expect_same("trained");
+}
+
+TEST(MfUserRows, OnDemandBytesIndependentOfWriteOrder) {
+  // Distinct users on distinct items: the steps commute, so two models
+  // that materialize the rows in opposite orders hold the same values and
+  // must encode them identically (the codecs write rows in user order).
+  const std::vector<data::Rating> steps{
+      {3, 1, 4.0f}, {117, 0, 5.0f}, {42, 7, 1.5f}};
+  Rng forward_rng(5);
+  ml::MfModel forward(on_demand_config(), forward_rng);
+  for (const data::Rating& r : steps) forward.sgd_step(r);
+  Rng backward_rng(5);
+  ml::MfModel backward(on_demand_config(), backward_rng);
+  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+    backward.sgd_step(*it);
+  }
+  EXPECT_EQ(forward.serialize(), backward.serialize());
+  EXPECT_EQ(forward.serialize_quantized(), backward.serialize_quantized());
+  EXPECT_EQ(forward.serialize_sliced(3, 1), backward.serialize_sliced(3, 1));
+}
+
+TEST(MfUserRows, UnmaterializedReadsMatchMaterializedValues) {
+  // predict() on a never-written row computes its init values into
+  // scratch; a peer that decodes the model's image materializes every row
+  // with those values and must predict bit-identically.
+  Rng rng(5);
+  const ml::MfModel model(on_demand_config(), rng);
+  Rng peer_rng(99);  // init overwritten by deserialize below
+  ml::MfModel peer(on_demand_config(), peer_rng);
+  peer.deserialize(model.serialize());
+  EXPECT_EQ(peer.materialized_user_rows(), on_demand_config().n_users);
   for (const data::UserId u : {0u, 7u, 117u, 199u}) {
     for (const data::ItemId i : {0u, 9u, 19u}) {
-      EXPECT_EQ(lazy.predict(u, i), eager.predict(u, i)) << u << "," << i;
+      EXPECT_EQ(model.predict(u, i), peer.predict(u, i)) << u << "," << i;
     }
   }
 }
 
-TEST(MfLazyRows, WireFormatsByteIdenticalAcrossTheKnob) {
-  // One lazy model with a few trained rows; its dense, quantized and
-  // sliced encodings must round-trip byte-identically through both a lazy
-  // and an eager peer — the property that lets lean-memory nodes exchange
-  // shares with anyone.
-  ml::MfConfig config = lazy_config();
+TEST(MfUserRows, WireFormatsRoundTripThroughAnOnDemandPeer) {
+  // A model with a few trained rows: its exact, quantized and sliced
+  // encodings must round-trip byte-identically through a peer that has
+  // materialized nothing yet.
   Rng rng(5);
-  ml::MfModel model(config, rng);
+  ml::MfModel model(on_demand_config(), rng);
   model.sgd_step({3, 1, 4.0f});
   model.sgd_step({117, 0, 5.0f});
   model.sgd_step({42, 7, 1.5f});
 
-  ml::MfConfig eager_config = config;
-  eager_config.lazy_user_rows = false;
-
-  const Bytes dense = model.serialize();
+  const Bytes exact = model.serialize();
   {
     Rng peer_rng(11);
-    ml::MfModel lazy_peer(config, peer_rng);
-    lazy_peer.deserialize(dense);
-    EXPECT_EQ(lazy_peer.serialize(), dense);
-    Rng eager_peer_rng(12);
-    ml::MfModel eager_peer(eager_config, eager_peer_rng);
-    eager_peer.deserialize(dense);
-    EXPECT_EQ(eager_peer.serialize(), dense);
+    ml::MfModel peer(on_demand_config(), peer_rng);
+    peer.deserialize(exact);
+    EXPECT_EQ(peer.serialize(), exact);
   }
 
   const Bytes quantized = model.serialize_quantized();
   {
     Rng peer_rng(13);
-    ml::MfModel lazy_peer(config, peer_rng);
-    lazy_peer.deserialize(quantized);
-    Rng eager_peer_rng(14);
-    ml::MfModel eager_peer(eager_config, eager_peer_rng);
-    eager_peer.deserialize(quantized);
+    ml::MfModel peer(on_demand_config(), peer_rng);
+    peer.deserialize(quantized);
+    Rng other_rng(14);
+    ml::MfModel other(on_demand_config(), other_rng);
+    other.deserialize(quantized);
     // Quantization is lossy once, then stable: both peers decoded the same
     // codes, so their re-encodings agree with each other.
-    EXPECT_EQ(lazy_peer.serialize_quantized(),
-              eager_peer.serialize_quantized());
-    EXPECT_EQ(lazy_peer.serialize(), eager_peer.serialize());
+    EXPECT_EQ(peer.serialize_quantized(), other.serialize_quantized());
+    EXPECT_EQ(peer.serialize(), other.serialize());
   }
 
   const Bytes sliced = model.serialize_sliced(2, 0);
   {
     Rng peer_rng(15);
-    ml::MfModel lazy_peer(config, peer_rng);
-    lazy_peer.deserialize(sliced);
-    EXPECT_EQ(lazy_peer.serialize_sliced(2, 0), sliced);
+    ml::MfModel peer(on_demand_config(), peer_rng);
+    peer.deserialize(sliced);
+    EXPECT_EQ(peer.serialize_sliced(2, 0), sliced);
   }
 }
 

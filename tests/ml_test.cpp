@@ -142,23 +142,26 @@ TEST(Mf, FixedStepsPerEpochIgnoresStoreSize) {
 TEST(Mf, TrainEpochIsTheSampledSgdStepLoop) {
   // train_epoch draws its samples up front and prefetches ahead of its
   // steps; model and rng must end bit-identical to drawing and stepping
-  // one sample at a time.
-  const data::Dataset d = small_dataset();
-  for (const bool lazy : {false, true}) {
+  // one sample at a time, in both user-row shapes: fewer users than items
+  // (rows materialized up front) and more (rows materialized on demand).
+  for (const bool on_demand : {false, true}) {
+    const data::Dataset d =
+        on_demand ? small_dataset(120, 40) : small_dataset();
     for (const std::size_t dim :
          {std::size_t{2}, std::size_t{10}, linalg::kSimdThreshold}) {
       // Stores smaller and larger than the 200 steps of an epoch.
       for (const std::size_t store_size :
            {std::size_t{30}, d.ratings.size()}) {
-        SCOPED_TRACE(testing::Message() << "lazy " << lazy << ", dim " << dim
-                                        << ", store " << store_size);
+        SCOPED_TRACE(testing::Message()
+                     << "on demand " << on_demand << ", dim " << dim
+                     << ", store " << store_size);
         MfConfig config = mf_config(d);
         config.embedding_dim = dim;
-        config.lazy_user_rows = lazy;
-        config.lazy_init_seed = 17;
         config.sgd_steps_per_epoch = 200;
         Rng init(6);
         MfModel model(config, init);
+        ASSERT_EQ(model.materialized_user_rows(),
+                  on_demand ? 0 : config.n_users);
         MfModel reference = model;
         const auto store =
             std::span<const data::Rating>(d.ratings).first(store_size);

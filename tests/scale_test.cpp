@@ -79,9 +79,9 @@ TEST(ScaleDeterminism, EventDriven10kIdenticalAcross1_2_8Threads) {
   run_discipline(scale_scenario(EngineMode::kEventDriven));
 }
 
-// The mega profile (DESIGN.md §10): 100k one-user nodes with the
-// lean-memory diet on — lazy MF user rows, the shared read-only test set,
-// arena-packed hosts and the sharded calendar queue (100k nodes is past the
+// The mega profile (DESIGN.md §10): 100k one-user nodes — MF user rows
+// materialized on demand (users outnumber items), arena-packed hosts and
+// the sharded calendar queue (100k nodes is past the
 // 16384-nodes-per-shard threshold, so unlike the 10k cells these run with a
 // genuinely sharded queue). One epoch: the coverage target is bit-identity
 // of every metric across worker-thread counts at mega scale, not
@@ -93,7 +93,6 @@ Scenario mega_scenario(EngineMode mode) {
   s.dataset.n_ratings = kMegaNodes * 5;
   s.dataset.n_items = 50;
   s.epochs = 1;
-  s.lean_memory = true;
   return s;
 }
 

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
-#include <set>
 #include <vector>
 
 #include "support/bytes.hpp"
@@ -125,35 +124,6 @@ TEST(Rng, NormalWithParameters) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += rng.normal(3.0, 0.5);
   EXPECT_NEAR(sum / n, 3.0, 0.02);
-}
-
-TEST(Rng, SampleIndicesDistinctAndInRange) {
-  Rng rng(9);
-  for (std::size_t n : {5u, 50u, 500u}) {
-    const auto sample = rng.sample_indices(n, n / 2 + 1);
-    std::set<std::size_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), sample.size());
-    for (auto idx : sample) EXPECT_LT(idx, n);
-  }
-}
-
-TEST(Rng, SampleIndicesFullRange) {
-  Rng rng(9);
-  const auto sample = rng.sample_indices(8, 8);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 8u);
-}
-
-TEST(Rng, SampleIndicesRejectsOversample) {
-  Rng rng(9);
-  EXPECT_THROW(rng.sample_indices(3, 4), Error);
-}
-
-TEST(Rng, SampleWithReplacementInRange) {
-  Rng rng(13);
-  const auto sample = rng.sample_with_replacement(4, 100);
-  EXPECT_EQ(sample.size(), 100u);
-  for (auto idx : sample) EXPECT_LT(idx, 4u);
 }
 
 TEST(Rng, ShuffleIsPermutation) {
