@@ -306,19 +306,22 @@ MfModel::UserImage MfModel::user_image() const {
   image.bias.resize(config_.n_users);
   image.seen.resize(config_.n_users);
   for (data::UserId u = 0; u < config_.n_users; ++u) {
-    const auto src = user_row(u);
-    std::copy(src.begin(), src.end(),
-              image.rows.begin() +
-                  static_cast<std::ptrdiff_t>(u * config_.embedding_dim));
-    image.bias[u] = user_bias_at(u);
-    image.seen[u] = has_seen_user(u) ? 1 : 0;
+    const auto row = std::span<float>(image.rows).subspan(
+        u * config_.embedding_dim, config_.embedding_dim);
+    const std::size_t slot = find_user_slot(u);
+    if (slot == kNoSlot) {
+      init_user_row(u, row);  // bias 0, unseen
+      continue;
+    }
+    const auto src = slot_row(slot);
+    std::copy(src.begin(), src.end(), row.begin());
+    image.bias[u] = user_bias_[slot];
+    image.seen[u] = seen_user_[slot];
   }
   return image;
 }
 
 void MfModel::load_user_image(const UserImage& image) {
-  // Rows arrive in user order, so on-demand slots append without index
-  // shuffling.
   for (data::UserId u = 0; u < config_.n_users; ++u) {
     const std::size_t slot = ensure_user_slot(u);
     std::copy_n(image.rows.begin() +

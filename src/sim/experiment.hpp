@@ -69,9 +69,9 @@ struct Scenario {
   std::size_t dnn_batch_size = 32;
   std::size_t dnn_batches_per_epoch = 10;
 
-  /// No effect. The memory diet it once switched on is how every run works
-  /// now (DESIGN.md §10: MF user rows materialize on demand when users
-  /// outnumber items); kept so callers that still set it compile.
+  /// Has no effect: MF user rows materialize on demand whenever users
+  /// outnumber items, with no switch (DESIGN.md §10). Kept only for
+  /// callers that still set it.
   bool lean_memory = false;
 
   std::size_t epochs = 100;
