@@ -168,6 +168,115 @@ REX_AVX2 std::size_t xor_avx2(const std::uint32_t state[16],
 
 #undef REX_AVX2
 
+// ===== AVX-512F keystream: sixteen blocks per pass =====
+//
+// The AVX2 layout at twice the width: vector i holds state word i of
+// sixteen consecutive blocks, and vprold rotates by any count natively.
+// Each pass is 1,024 bytes; the AVX2 pass then takes a last whole 512-byte
+// chunk, and chacha20_block the tail.
+//
+// The kernel calls the all-lanes zero-masking form of each intrinsic that
+// has an unmasked one: both compile to the same unmasked instruction, but
+// GCC 12's unmasked forms warn (-Wmaybe-uninitialized) about their own
+// undefined pass-through operand.
+
+#define REX_AVX512 __attribute__((target("avx512f")))
+
+constexpr __mmask16 kAll16 = 0xffff;
+constexpr __mmask8 kAll8 = 0xff;
+
+template <int N>
+REX_AVX512 inline __m512i rotl_avx512(__m512i x) {
+  return _mm512_maskz_rol_epi32(kAll16, x, N);
+}
+
+REX_AVX512 inline void quarter_round_avx512(__m512i& a, __m512i& b,
+                                            __m512i& c, __m512i& d) {
+  a = _mm512_add_epi32(a, b);
+  d = rotl_avx512<16>(_mm512_xor_si512(d, a));
+  c = _mm512_add_epi32(c, d);
+  b = rotl_avx512<12>(_mm512_xor_si512(b, c));
+  a = _mm512_add_epi32(a, b);
+  d = rotl_avx512<8>(_mm512_xor_si512(d, a));
+  c = _mm512_add_epi32(c, d);
+  b = rotl_avx512<7>(_mm512_xor_si512(b, c));
+}
+
+/// Transposes sixteen vectors of sixteen 32-bit lanes in place: afterwards
+/// v[j] holds lane j of every input vector, in input order.
+REX_AVX512 inline void transpose16x16(__m512i v[16]) {
+  // 4x4 transposes inside each 128-bit lane: u[4g + m], lane L, then holds
+  // words 4g..4g+3 of block 4L + m.
+  __m512i u[16];
+  for (int g = 0; g < 16; g += 4) {
+    const __m512i t0 = _mm512_maskz_unpacklo_epi32(kAll16, v[g], v[g + 1]);
+    const __m512i t1 = _mm512_maskz_unpackhi_epi32(kAll16, v[g], v[g + 1]);
+    const __m512i t2 =
+        _mm512_maskz_unpacklo_epi32(kAll16, v[g + 2], v[g + 3]);
+    const __m512i t3 =
+        _mm512_maskz_unpackhi_epi32(kAll16, v[g + 2], v[g + 3]);
+    u[g] = _mm512_maskz_unpacklo_epi64(kAll8, t0, t2);
+    u[g + 1] = _mm512_maskz_unpackhi_epi64(kAll8, t0, t2);
+    u[g + 2] = _mm512_maskz_unpacklo_epi64(kAll8, t1, t3);
+    u[g + 3] = _mm512_maskz_unpackhi_epi64(kAll8, t1, t3);
+  }
+  // Then a 4x4 transpose of 128-bit lanes across u[m], u[4 + m],
+  // u[8 + m], u[12 + m] gathers block 4L + m into v[4L + m].
+  for (int m = 0; m < 4; ++m) {
+    const __m512i p =
+        _mm512_maskz_shuffle_i32x4(kAll16, u[m], u[4 + m], 0x44);
+    const __m512i q =
+        _mm512_maskz_shuffle_i32x4(kAll16, u[m], u[4 + m], 0xee);
+    const __m512i r =
+        _mm512_maskz_shuffle_i32x4(kAll16, u[8 + m], u[12 + m], 0x44);
+    const __m512i s =
+        _mm512_maskz_shuffle_i32x4(kAll16, u[8 + m], u[12 + m], 0xee);
+    v[m] = _mm512_maskz_shuffle_i32x4(kAll16, p, r, 0x88);
+    v[4 + m] = _mm512_maskz_shuffle_i32x4(kAll16, p, r, 0xdd);
+    v[8 + m] = _mm512_maskz_shuffle_i32x4(kAll16, q, s, 0x88);
+    v[12 + m] = _mm512_maskz_shuffle_i32x4(kAll16, q, s, 0xdd);
+  }
+}
+
+/// XORs every whole 1,024-byte chunk of `in`; returns the bytes consumed.
+REX_AVX512 std::size_t xor_avx512(const std::uint32_t state[16],
+                                  const std::uint8_t* in, std::uint8_t* out,
+                                  std::size_t n) {
+  __m512i input[16];
+  for (int i = 0; i < 16; ++i) {
+    input[i] = _mm512_set1_epi32(static_cast<int>(state[i]));
+  }
+  input[12] = _mm512_add_epi32(
+      input[12], _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                   13, 14, 15));
+  std::size_t done = 0;
+  for (; done + 1024 <= n; done += 1024) {
+    __m512i x[16];
+    for (int i = 0; i < 16; ++i) x[i] = input[i];
+    for (int round = 0; round < 10; ++round) {
+      quarter_round_avx512(x[0], x[4], x[8], x[12]);
+      quarter_round_avx512(x[1], x[5], x[9], x[13]);
+      quarter_round_avx512(x[2], x[6], x[10], x[14]);
+      quarter_round_avx512(x[3], x[7], x[11], x[15]);
+      quarter_round_avx512(x[0], x[5], x[10], x[15]);
+      quarter_round_avx512(x[1], x[6], x[11], x[12]);
+      quarter_round_avx512(x[2], x[7], x[8], x[13]);
+      quarter_round_avx512(x[3], x[4], x[9], x[14]);
+    }
+    for (int i = 0; i < 16; ++i) x[i] = _mm512_add_epi32(x[i], input[i]);
+    transpose16x16(x);  // x[j]: block j
+    for (std::size_t j = 0; j < 16; ++j) {
+      const std::size_t at = done + 64 * j;
+      const __m512i data = _mm512_loadu_si512(in + at);
+      _mm512_storeu_si512(out + at, _mm512_xor_si512(data, x[j]));
+    }
+    input[12] = _mm512_add_epi32(input[12], _mm512_set1_epi32(16));
+  }
+  return done;
+}
+
+#undef REX_AVX512
+
 #endif  // REX_CHACHA_X86
 
 }  // namespace
@@ -199,13 +308,22 @@ void chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
                   std::uint8_t* out) {
   std::size_t done = 0;
 #if REX_CHACHA_X86
-  if (linalg::simd::active_backend() == linalg::simd::Backend::kAvx2) {
+  using linalg::simd::Backend;
+  // Below one 512-byte chunk no vector pass runs: skip its set-up.
+  const Backend backend =
+      in.size() >= 512 ? linalg::simd::active_backend() : Backend::kScalar;
+  if (backend == Backend::kAvx2 || backend == Backend::kAvx512) {
     std::uint32_t state[16];
     init_state(state, key, initial_counter, nonce);
-    done = xor_avx2(state, in.data(), out, in.size());
+    if (backend == Backend::kAvx512 && in.size() >= 1024) {
+      done = xor_avx512(state, in.data(), out, in.size());
+      state[12] += static_cast<std::uint32_t>(done / 64);
+    }
+    done += xor_avx2(state, in.data() + done, out + done, in.size() - done);
   }
 #endif
-  // Tail (and the whole message off AVX2): 64 keystream bytes per block.
+  // The tail, short messages and every message off x86: one block at a
+  // time.
   xor_scalar(key, nonce,
              initial_counter + static_cast<std::uint32_t>(done / 64),
              in.data() + done, out + done, in.size() - done);

@@ -26,10 +26,11 @@ void chacha20_block(const ChaChaKey& key, std::uint32_t counter,
 /// XORs `in` with the ChaCha20 keystream starting at block
 /// `initial_counter` and writes the result to `out`, which must hold
 /// in.size() bytes. Encryption and decryption are the same operation; the
-/// 32-bit block counter wraps as in RFC 8439. Runs the 8-block AVX2 kernel
-/// when the linalg::simd dispatcher selected it (DESIGN.md §7 "Kernel
-/// dispatch"), and chacha20_block for the tail and on every other backend
-/// — the output bytes are the same either way.
+/// 32-bit block counter wraps as in RFC 8439. Follows the linalg::simd
+/// dispatcher (DESIGN.md §7 "Kernel dispatch"): kAvx512 runs 16-block
+/// passes, then kAvx512 and kAvx2 an 8-block pass, and chacha20_block
+/// takes the tail and every other backend — the output bytes are the same
+/// either way.
 void chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
                   std::uint32_t initial_counter, BytesView in,
                   std::uint8_t* out);

@@ -17,7 +17,10 @@ using PolyKey = std::array<std::uint8_t, kPolyKeySize>;
 /// Streaming Poly1305: feed the message in pieces of any size, in order;
 /// finish() returns the tag of their concatenation. The AEAD MACs its
 /// aad, padding, ciphertext and lengths in place through this, without
-/// first copying them into one buffer.
+/// first copying them into one buffer. A piece carrying at least eight
+/// whole blocks absorbs them four lanes at a time on the kAvx2 and kAvx512
+/// backends (DESIGN.md §7 "Kernel dispatch"); the tag is the same on
+/// every backend.
 class Poly1305 {
  public:
   explicit Poly1305(const PolyKey& key);

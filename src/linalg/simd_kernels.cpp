@@ -58,7 +58,8 @@ void mf_sgd_rows_scalar(float* x, float* y, std::size_t n, float error,
 // compiler cannot contract the explicit mul-then-add sequences below into
 // fused operations; each lane rounds exactly like the scalar loop. The
 // remainder (< 8 lanes) falls through to the scalar kernel: same ops, same
-// order.
+// order. kAvx512 runs these same kernels; only the cipher has 512-bit
+// passes.
 
 __attribute__((target("avx2"))) void axpy_avx2(float alpha, const float* x,
                                                float* y, std::size_t n) {
@@ -208,7 +209,10 @@ bool env_flag(const char* name) {
 Backend detect_backend() {
   if (env_flag("REX_SCALAR_KERNELS")) return Backend::kScalar;
 #if REX_SIMD_X86
-  if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
+  if (__builtin_cpu_supports("avx2")) {
+    return __builtin_cpu_supports("avx512f") ? Backend::kAvx512
+                                             : Backend::kAvx2;
+  }
 #endif
 #if REX_SIMD_NEON
   return Backend::kNeon;
@@ -231,6 +235,7 @@ const char* backend_name(Backend backend) {
   switch (backend) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
+    case Backend::kAvx512: return "avx512";
     case Backend::kNeon: return "neon";
   }
   return "?";
@@ -239,7 +244,8 @@ const char* backend_name(Backend backend) {
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
   switch (g_backend) {
 #if REX_SIMD_X86
-    case Backend::kAvx2: axpy_avx2(alpha, x, y, n); return;
+    case Backend::kAvx2:
+    case Backend::kAvx512: axpy_avx2(alpha, x, y, n); return;
 #endif
 #if REX_SIMD_NEON
     case Backend::kNeon: axpy_neon(alpha, x, y, n); return;
@@ -251,7 +257,8 @@ void axpy(float alpha, const float* x, float* y, std::size_t n) {
 void scale(float* x, float alpha, std::size_t n) {
   switch (g_backend) {
 #if REX_SIMD_X86
-    case Backend::kAvx2: scale_avx2(x, alpha, n); return;
+    case Backend::kAvx2:
+    case Backend::kAvx512: scale_avx2(x, alpha, n); return;
 #endif
 #if REX_SIMD_NEON
     case Backend::kNeon: scale_neon(x, alpha, n); return;
@@ -264,7 +271,8 @@ void weighted_sum(float* dst, float w_dst, const float* src, float w_src,
                   std::size_t n) {
   switch (g_backend) {
 #if REX_SIMD_X86
-    case Backend::kAvx2: weighted_sum_avx2(dst, w_dst, src, w_src, n); return;
+    case Backend::kAvx2:
+    case Backend::kAvx512: weighted_sum_avx2(dst, w_dst, src, w_src, n); return;
 #endif
 #if REX_SIMD_NEON
     case Backend::kNeon: weighted_sum_neon(dst, w_dst, src, w_src, n); return;
@@ -276,7 +284,8 @@ void weighted_sum(float* dst, float w_dst, const float* src, float w_src,
 void fill(float* x, float value, std::size_t n) {
   switch (g_backend) {
 #if REX_SIMD_X86
-    case Backend::kAvx2: fill_avx2(x, value, n); return;
+    case Backend::kAvx2:
+    case Backend::kAvx512: fill_avx2(x, value, n); return;
 #endif
 #if REX_SIMD_NEON
     case Backend::kNeon: fill_neon(x, value, n); return;
@@ -289,7 +298,8 @@ void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
                  float lambda) {
   switch (g_backend) {
 #if REX_SIMD_X86
-    case Backend::kAvx2: mf_sgd_rows_avx2(x, y, n, error, lr, lambda); return;
+    case Backend::kAvx2:
+    case Backend::kAvx512: mf_sgd_rows_avx2(x, y, n, error, lr, lambda); return;
 #endif
 #if REX_SIMD_NEON
     case Backend::kNeon: mf_sgd_rows_neon(x, y, n, error, lr, lambda); return;

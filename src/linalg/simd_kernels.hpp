@@ -24,6 +24,7 @@ namespace rex::linalg::simd {
 enum class Backend {
   kScalar,  // portable loops (the escape hatch; exact reference)
   kAvx2,    // x86-64 AVX2 (no FMA in elementwise kernels)
+  kAvx512,  // x86-64 AVX-512F: the AVX2 math kernels, wider cipher passes
   kNeon,    // aarch64 Advanced SIMD
 };
 
@@ -34,7 +35,7 @@ enum class Backend {
 /// thread-safe against concurrent kernel calls; tests only.
 void set_backend(Backend backend);
 
-/// Human-readable backend name ("scalar" / "avx2" / "neon").
+/// Human-readable backend name ("scalar" / "avx2" / "avx512" / "neon").
 [[nodiscard]] const char* backend_name(Backend backend);
 
 // ===== Elementwise kernels (bit-identical across backends) =====

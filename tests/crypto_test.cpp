@@ -5,10 +5,13 @@
 //  - ChaCha20, Poly1305, AEAD: RFC 8439
 //  - X25519: RFC 7748
 // plus property tests (round-trips, tamper detection, DH commutativity) and
-// keystream-backend equivalence: the AVX2 ChaCha20 picked by the
-// linalg::simd dispatcher must be byte-equal to the scalar reference.
+// path equivalence: on each vector path of the linalg::simd dispatcher
+// (kAvx2, kAvx512) the ChaCha20 keystream, the Poly1305 tag and the sealed
+// AEAD bytes must equal the scalar reference's. A path the CPU lacks is
+// skipped with the missing feature named.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -32,6 +35,13 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   return bytes;
 }
 
+PolyKey random_poly_key(Rng& rng) {
+  const Bytes bytes = random_bytes(rng, kPolyKeySize);
+  PolyKey key;
+  std::copy(bytes.begin(), bytes.end(), key.begin());
+  return key;
+}
+
 Bytes keystream_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
                     std::uint32_t counter, BytesView in) {
   Bytes out(in.size());
@@ -39,16 +49,64 @@ Bytes keystream_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
   return out;
 }
 
-/// Runs `op` under the dispatched keystream backend, then under the scalar
-/// reference (the REX_SCALAR_KERNELS path), restoring the dispatch after.
-template <class Op>
-std::pair<Bytes, Bytes> under_both_backends(Op&& op) {
-  const linalg::simd::Backend dispatched = linalg::simd::active_backend();
-  Bytes vector_out = op();
-  linalg::simd::set_backend(linalg::simd::Backend::kScalar);
-  Bytes scalar_out = op();
-  linalg::simd::set_backend(dispatched);
-  return {std::move(vector_out), std::move(scalar_out)};
+using linalg::simd::Backend;
+
+/// The CPU feature `path` needs that this CPU lacks, or nullptr.
+const char* missing_feature(Backend path) {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (!__builtin_cpu_supports("avx2")) return "avx2";
+  if (path == Backend::kAvx512 && !__builtin_cpu_supports("avx512f")) {
+    return "avx512f";
+  }
+  return nullptr;
+#else
+  return path == Backend::kAvx512 ? "avx512f (not x86-64)"
+                                  : "avx2 (not x86-64)";
+#endif
+}
+
+/// One vector path of the cipher and MAC, compared with the scalar
+/// reference (the REX_SCALAR_KERNELS path).
+class VectorPath : public ::testing::TestWithParam<Backend> {
+ protected:
+  void SetUp() override {
+    if (const char* missing = missing_feature(GetParam())) {
+      GTEST_SKIP() << "CPU lacks " << missing << ": "
+                   << linalg::simd::backend_name(GetParam())
+                   << " path not tested";
+    }
+  }
+
+  /// Runs `op` on this path, then on the scalar path; restores the
+  /// dispatch after.
+  template <class Op>
+  auto on_path_and_scalar(Op&& op) -> std::pair<decltype(op()),
+                                                decltype(op())> {
+    const Backend dispatched = linalg::simd::active_backend();
+    linalg::simd::set_backend(GetParam());
+    auto path_out = op();
+    linalg::simd::set_backend(Backend::kScalar);
+    auto scalar_out = op();
+    linalg::simd::set_backend(dispatched);
+    return {std::move(path_out), std::move(scalar_out)};
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Paths, VectorPath,
+                         ::testing::Values(Backend::kAvx2, Backend::kAvx512),
+                         [](const auto& info) {
+                           return std::string(
+                               linalg::simd::backend_name(info.param));
+                         });
+
+/// The Poly1305 tag of `msg` fed in three pieces split at `a` <= `b`.
+PolyTag mac_in_pieces(const PolyKey& key, BytesView msg, std::size_t a,
+                      std::size_t b) {
+  Poly1305 mac(key);
+  mac.update(msg.first(a));
+  mac.update(msg.subspan(a, b - a));
+  mac.update(msg.subspan(b));
+  return mac.finish();
 }
 
 std::string digest_hex(const Sha256Digest& d) {
@@ -206,23 +264,23 @@ TEST(ChaCha20, XorIsInvolution) {
             msg);
 }
 
-TEST(ChaCha20, BackendsByteEqualOverEveryTailShape) {
-  // Every length 0..1100 covers each 8-block chunk count up to two and
-  // every block and byte remainder after it.
+TEST_P(VectorPath, ChaCha20MatchesScalarAtEveryLength) {
+  // Every length 0..2100 covers one and two 16-block passes, an 8-block
+  // pass after one, and every block and byte remainder after each.
   Rng rng(21);
   Drbg drbg(21);
   const ChaChaKey key = drbg.next_key();
   const ChaChaNonce nonce = nonce_from_sequence(9, 0);
-  const Bytes msg = random_bytes(rng, 1100);
+  const Bytes msg = random_bytes(rng, 2100);
   for (std::size_t len = 0; len <= msg.size(); ++len) {
     const BytesView in(msg.data(), len);
-    const auto [vector_out, scalar_out] =
-        under_both_backends([&] { return keystream_xor(key, nonce, 1, in); });
-    ASSERT_EQ(vector_out, scalar_out) << "length " << len;
+    const auto [path_out, scalar_out] =
+        on_path_and_scalar([&] { return keystream_xor(key, nonce, 1, in); });
+    ASSERT_EQ(path_out, scalar_out) << "length " << len;
   }
 }
 
-TEST(ChaCha20, BackendsByteEqualOnLongMessages) {
+TEST_P(VectorPath, ChaCha20MatchesScalarOnLongMessages) {
   Rng rng(22);
   Drbg drbg(22);
   for (int trial = 0; trial < 24; ++trial) {
@@ -230,36 +288,104 @@ TEST(ChaCha20, BackendsByteEqualOnLongMessages) {
     const ChaChaNonce nonce = nonce_from_sequence(rng.next_u64(), 1);
     const auto counter = static_cast<std::uint32_t>(rng.uniform(1u << 20));
     const Bytes msg = random_bytes(rng, rng.uniform(70 * 1024 + 1));
-    const auto [vector_out, scalar_out] = under_both_backends(
+    const auto [path_out, scalar_out] = on_path_and_scalar(
         [&] { return keystream_xor(key, nonce, counter, msg); });
-    ASSERT_EQ(vector_out, scalar_out)
+    ASSERT_EQ(path_out, scalar_out)
         << "length " << msg.size() << " counter " << counter;
   }
 }
 
-TEST(ChaCha20, CounterWrapMatchesBlockFunction) {
+TEST_P(VectorPath, ChaCha20CounterWrapMatchesBlockFunction) {
   // RFC 8439's block counter is 32 bits: a message that runs past 2^32 - 1
-  // continues at block 0 of the same nonce. Both backends must wrap there,
-  // block for block, like chacha20_block itself.
+  // continues at block 0 of the same nonce. Every path must wrap there,
+  // block for block, like chacha20_block itself. 1,600 bytes take a
+  // 16-block pass, an 8-block pass and a scalar block on kAvx512, so the
+  // wrap lands inside each kind of pass.
   Rng rng(23);
   Drbg drbg(23);
   const ChaChaKey key = drbg.next_key();
   const ChaChaNonce nonce = nonce_from_sequence(77, 0);
-  const Bytes msg = random_bytes(rng, 1100);
-  for (std::uint32_t back = 0; back <= 17; ++back) {
+  const Bytes msg = random_bytes(rng, 1600);
+  for (std::uint32_t back = 0; back <= 25; ++back) {
     const std::uint32_t counter = 0xffffffffu - back;
-    const auto [vector_out, scalar_out] = under_both_backends(
+    const auto [path_out, scalar_out] = on_path_and_scalar(
         [&] { return keystream_xor(key, nonce, counter, msg); });
-    ASSERT_EQ(vector_out, scalar_out) << "counter " << counter;
+    ASSERT_EQ(path_out, scalar_out) << "counter " << counter;
     for (std::size_t at = 0; at < msg.size(); at += 64) {
       std::uint8_t block[64];
       chacha20_block(key, counter + static_cast<std::uint32_t>(at / 64),
                      nonce, block);
       for (std::size_t i = at; i < std::min(msg.size(), at + 64); ++i) {
-        ASSERT_EQ(vector_out[i], msg[i] ^ block[i - at])
+        ASSERT_EQ(path_out[i], msg[i] ^ block[i - at])
             << "counter " << counter << " byte " << i;
       }
     }
+  }
+}
+
+TEST_P(VectorPath, Poly1305MatchesScalarAtEveryLength) {
+  Rng rng(24);
+  const PolyKey key = random_poly_key(rng);
+  const Bytes msg = random_bytes(rng, 1100);
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const auto [path_tag, scalar_tag] = on_path_and_scalar(
+        [&] { return poly1305(key, BytesView(msg.data(), len)); });
+    ASSERT_EQ(path_tag, scalar_tag) << "length " << len;
+  }
+}
+
+TEST_P(VectorPath, Poly1305MatchesScalarAtEveryStreamSplit) {
+  // Three pieces split at every a <= b: the vector path then starts from a
+  // non-zero accumulator, behind a partial block buffer, or both.
+  Rng rng(25);
+  const PolyKey key = random_poly_key(rng);
+  const Bytes msg = random_bytes(rng, 400);
+  for (std::size_t a = 0; a <= msg.size(); ++a) {
+    for (std::size_t b = a; b <= msg.size(); ++b) {
+      const auto [path_tag, scalar_tag] =
+          on_path_and_scalar([&] { return mac_in_pieces(key, msg, a, b); });
+      ASSERT_EQ(path_tag, scalar_tag) << "splits at " << a << ", " << b;
+    }
+  }
+}
+
+TEST_P(VectorPath, Poly1305MatchesScalarAtExtremeLimbs) {
+  // r clamped to its largest value and all-ones blocks push every limb
+  // product and carry to its bound, on one-shot and streamed messages.
+  PolyKey key;
+  key.fill(0xff);
+  const Bytes msg(1100, 0xff);
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const auto [path_tag, scalar_tag] = on_path_and_scalar(
+        [&] { return poly1305(key, BytesView(msg.data(), len)); });
+    ASSERT_EQ(path_tag, scalar_tag) << "length " << len;
+  }
+  const BytesView streamed(msg.data(), 400);
+  for (std::size_t a = 0; a <= streamed.size(); ++a) {
+    for (std::size_t b = a; b <= streamed.size(); ++b) {
+      const auto [path_tag, scalar_tag] = on_path_and_scalar(
+          [&] { return mac_in_pieces(key, streamed, a, b); });
+      ASSERT_EQ(path_tag, scalar_tag) << "splits at " << a << ", " << b;
+    }
+  }
+}
+
+TEST_P(VectorPath, AeadSealAndOpenMatchScalar) {
+  Rng rng(26);
+  Drbg drbg(26);
+  const ChaChaKey key = drbg.next_key();
+  for (std::size_t len : {0u, 1u, 100u, 1023u, 3608u, 65536u, 70001u}) {
+    const ChaChaNonce nonce = nonce_from_sequence(len, 0);
+    const Bytes aad = random_bytes(rng, rng.uniform(40));
+    const Bytes plaintext = random_bytes(rng, len);
+    const auto [path_sealed, scalar_sealed] = on_path_and_scalar(
+        [&] { return aead_seal(key, nonce, aad, plaintext); });
+    ASSERT_EQ(path_sealed, scalar_sealed) << "length " << len;
+    const auto [path_opened, scalar_opened] = on_path_and_scalar(
+        [&] { return aead_open(key, nonce, aad, scalar_sealed); });
+    ASSERT_TRUE(path_opened.has_value()) << "length " << len;
+    EXPECT_EQ(*path_opened, plaintext) << "length " << len;
+    EXPECT_EQ(path_opened, scalar_opened) << "length " << len;
   }
 }
 
@@ -341,17 +467,13 @@ TEST(Aead, SealIntoAppendsTheSealedBytes) {
   const ChaChaKey key = drbg.next_key();
   const ChaChaNonce nonce = nonce_from_sequence(4, 0);
   const Bytes aad = random_bytes(rng, 8);
-  for (std::size_t len : {0u, 1u, 100u, 3244u}) {
+  for (std::size_t len : {0u, 1u, 100u, 3608u}) {
     const Bytes plaintext = random_bytes(rng, len);
     Bytes out = to_bytes("header");
     aead_seal_into(key, nonce, aad, plaintext, out);
     Bytes expected = to_bytes("header");
     append(expected, aead_seal(key, nonce, aad, plaintext));
     EXPECT_EQ(out, expected) << len;
-    // The sealed bytes do not depend on the keystream backend.
-    const auto [vector_out, scalar_out] = under_both_backends(
-        [&] { return aead_seal(key, nonce, aad, plaintext); });
-    EXPECT_EQ(vector_out, scalar_out) << len;
   }
 }
 
