@@ -3,7 +3,8 @@
 // stamps), the issued == served + dropped conservation invariant under
 // churn, 1/2/8-thread bit-identity with queries + churn + geo WAN active in
 // both disciplines, and golden identity — with the query load off, every
-// committed pre-PR CSV column must stay byte-identical.
+// committed pre-PR CSV column must stay byte-identical, and with it on,
+// every column of both disciplines' serving dumps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -503,26 +504,35 @@ void expect_csv_matches_golden(const std::string& fresh_path,
   }
 }
 
+/// Writes one dump through `write` to a temp path and matches it against
+/// the committed golden of the same name.
+template <typename Write>
+void expect_dump_matches_golden(const std::string& golden_name, Write write) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / ("rex_" + golden_name))
+          .string();
+  write(path);
+  expect_csv_matches_golden(path, golden_name);
+  std::filesystem::remove(path);
+}
+
 void expect_golden_identity(const Scenario& scenario,
                             const std::string& rounds_golden,
                             const std::string& nodes_golden) {
   ScenarioInputs inputs;
   Simulator simulator = make_scenario_simulator(scenario, inputs);
   simulator.run(scenario.epochs);
-  const auto tmp = std::filesystem::temp_directory_path();
-  const std::string rounds_path = (tmp / ("rex_" + rounds_golden)).string();
-  const std::string nodes_path = (tmp / ("rex_" + nodes_golden)).string();
-  write_csv(simulator.result(), rounds_path);
-  write_node_csv(simulator.engine(), nodes_path);
-  expect_csv_matches_golden(rounds_path, rounds_golden);
-  expect_csv_matches_golden(nodes_path, nodes_golden);
+  expect_dump_matches_golden(rounds_golden, [&](const std::string& path) {
+    write_csv(simulator.result(), path);
+  });
+  expect_dump_matches_golden(nodes_golden, [&](const std::string& path) {
+    write_node_csv(simulator.engine(), path);
+  });
   // Serving-off runs must also report dead-zero query counters.
   const SimEngine::QueryTotals totals = simulator.engine().query_totals();
   EXPECT_EQ(totals.issued, 0u);
   EXPECT_EQ(totals.served, 0u);
   EXPECT_EQ(simulator.engine().query_latency().count(), 0u);
-  std::filesystem::remove(rounds_path);
-  std::filesystem::remove(nodes_path);
 }
 
 TEST(ServingOffGolden, BarrierDpsgdBitIdenticalToPrePrDumps) {
@@ -535,6 +545,56 @@ TEST(ServingOffGolden, EventChurnBitIdenticalToPrePrDumps) {
   expect_golden_identity(churn_scenario(),
                          "serving_off_event_churn_rounds.csv",
                          "serving_off_event_churn_nodes.csv");
+}
+
+// ===== Golden identity with the query load on =====
+//
+// Full-width dumps (every column of write_csv, write_node_csv and
+// write_query_csv) of one serving run per discipline. They pin the barrier
+// rounds' record and query values and the secure run's attestation and
+// re-attestation paths, none of which the serving-off goldens reach.
+
+void expect_serving_goldens(const Simulator& simulator,
+                            const std::string& prefix) {
+  expect_dump_matches_golden(prefix + "_rounds.csv",
+                             [&](const std::string& path) {
+                               write_csv(simulator.result(), path);
+                             });
+  expect_dump_matches_golden(prefix + "_nodes.csv",
+                             [&](const std::string& path) {
+                               write_node_csv(simulator.engine(), path);
+                             });
+  expect_dump_matches_golden(prefix + "_queries.csv",
+                             [&](const std::string& path) {
+                               write_query_csv(simulator.engine(), path);
+                             });
+}
+
+TEST(ServingOnGolden, BarrierDpsgdMatchesCommittedDumps) {
+  Scenario s = base_scenario();
+  s.query_load = test_load();
+  ScenarioInputs inputs;
+  Simulator simulator = make_scenario_simulator(s, inputs);
+  simulator.run(s.epochs);
+  EXPECT_GT(simulator.engine().query_totals().served, 0u);
+  expect_serving_goldens(simulator, "serving_on_barrier_dpsgd");
+}
+
+TEST(ServingOnGolden, SecureEventChurnReattestMatchesCommittedDumps) {
+  Scenario s = churn_scenario();
+  s.rex.security = enclave::SecurityMode::kSgxSimulated;
+  s.dynamics.reattest_interval_s = 0.002;
+  s.dynamics.rejoin_timeout_s = 0.005;  // keeps the run to 25 records
+  s.query_load = test_load();
+  ScenarioInputs inputs;
+  Simulator simulator = make_scenario_simulator(s, inputs);
+  simulator.run(s.epochs);
+  // Attestation steps count as processed events; both pin the
+  // pre-protocol handshake loop alongside the dumps.
+  EXPECT_EQ(simulator.engine().attestation_rounds(), 4u);
+  EXPECT_EQ(simulator.engine().events_processed(), 2557u);
+  EXPECT_GT(simulator.engine().query_totals().dropped_offline, 0u);
+  expect_serving_goldens(simulator, "serving_on_secure_event_churn");
 }
 
 // ===== Query CSV writer =====
