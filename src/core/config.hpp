@@ -53,10 +53,6 @@ struct RexConfig {
   /// f32. Lossy — the documented RMSE budget lives with the WAN bench. Off
   /// by default to match the paper's evaluated configuration.
   bool quantize_model_shares = false;
-  /// Rejoin resync slicing: with S > 1, each resync pull requests only the
-  /// embedding rows r with r % S == (rotating slice cursor), cutting the
-  /// per-pull download ~S-fold. 1 = whole-model pulls (paper behaviour).
-  std::size_t resync_slices = 1;
   /// RMW's training period (§III-C1) in simulated seconds, realized as a
   /// scheduled timer by the event engine. 0 = self-paced: each node starts
   /// its next epoch the moment the previous one finishes. Ignored by the

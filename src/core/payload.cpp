@@ -32,11 +32,6 @@ Bytes ProtocolPayload::encode(Bytes scratch) const {
     case PayloadKind::kResyncRequest:
       w.varint(resync_gen);
       break;
-    case PayloadKind::kResyncRequestSliced:
-      w.varint(resync_gen);
-      w.u32(slice_count);
-      w.u32(slice_index);
-      break;
     case PayloadKind::kResyncModel:
       w.varint(resync_gen);
       w.bytes(model_blob);
@@ -56,11 +51,9 @@ void ProtocolPayload::decode_into(BytesView bytes, ProtocolPayload& out) {
   out.ratings.clear();
   out.model_blob.clear();
   out.resync_gen = 0;  // recycled decode targets must not leak a stale gen
-  out.slice_count = 1;
-  out.slice_index = 0;
   const std::uint8_t kind_byte = r.u8();
   REX_REQUIRE(
-      kind_byte <= static_cast<std::uint8_t>(PayloadKind::kResyncRequestSliced),
+      kind_byte <= static_cast<std::uint8_t>(PayloadKind::kModelQuantized),
       "unknown payload kind");
   out.kind = static_cast<PayloadKind>(kind_byte);
   out.epoch = r.varint();
@@ -96,11 +89,6 @@ void ProtocolPayload::decode_into(BytesView bytes, ProtocolPayload& out) {
       break;
     case PayloadKind::kResyncRequest:
       out.resync_gen = r.varint();
-      break;
-    case PayloadKind::kResyncRequestSliced:
-      out.resync_gen = r.varint();
-      out.slice_count = r.u32();
-      out.slice_index = r.u32();
       break;
     case PayloadKind::kResyncModel: {
       out.resync_gen = r.varint();

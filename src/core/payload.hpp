@@ -34,12 +34,6 @@ enum class PayloadKind : std::uint8_t {
   /// account compressed traffic without sniffing blob magics; the blob
   /// itself is self-describing, so the merge path treats both identically.
   kModelQuantized = 6,
-  /// Sliced resync pull (RexConfig::resync_slices > 1): the requester asks
-  /// for rows r with r % slice_count == slice_index only, spreading one
-  /// rejoin's download over several smaller pulls. The reply is a regular
-  /// kResyncModel whose blob is the model's serialize_sliced() output.
-  /// A separate kind so the default resync wire format stays byte-stable.
-  kResyncRequestSliced = 7,
 };
 
 struct ProtocolPayload {
@@ -51,10 +45,6 @@ struct ProtocolPayload {
   /// that outlived its rejoin (watchdog fired, node churned and rejoined
   /// again) cannot complete a newer rejoin it does not belong to.
   std::uint64_t resync_gen = 0;
-  /// Row-slice selector (kResyncRequestSliced only): the responder serves
-  /// embedding rows r with r % slice_count == slice_index.
-  std::uint32_t slice_count = 1;
-  std::uint32_t slice_index = 0;
   std::vector<data::Rating> ratings;  // kRawData
   Bytes model_blob;                   // kModel / kModelQuantized
 

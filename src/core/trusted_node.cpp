@@ -208,18 +208,7 @@ void TrustedNode::maybe_send_resync_request(NodeId peer) {
   request.epoch = epoch_;
   request.sender_degree = static_cast<std::uint32_t>(neighbors_.size());
   request.resync_gen = rejoin_gen_;
-  if (config_.resync_slices > 1) {
-    // Sliced pull: ask for 1/S of the embedding rows only, rotating the
-    // slice across successive pulls so repeated rejoins eventually refresh
-    // every row. Distinct peers in one rejoin get distinct slices, so the
-    // rejoiner still recovers most of the model at a fraction of the bytes.
-    const auto slices = static_cast<std::uint32_t>(config_.resync_slices);
-    request.kind = PayloadKind::kResyncRequestSliced;
-    request.slice_count = slices;
-    request.slice_index = resync_slice_cursor_++ % slices;
-  } else {
-    request.kind = PayloadKind::kResyncRequest;
-  }
+  request.kind = PayloadKind::kResyncRequest;
   send_resync(peer, request);
   ++resync_awaited_;
 }
@@ -280,22 +269,14 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
     ProtocolPayload::decode_into(blob, input.payload);
   }
 
-  if (input.payload.kind == PayloadKind::kResyncRequest ||
-      input.payload.kind == PayloadKind::kResyncRequestSliced) {
+  if (input.payload.kind == PayloadKind::kResyncRequest) {
     // Serve the current model so the rejoiner re-enters the pipeline warm.
-    // A sliced request gets the asked-for row subset; the reply is a
-    // regular kResyncModel either way — the blob self-describes its codec,
-    // and deserialize on the other end dispatches on it.
     ProtocolPayload reply;
     reply.kind = PayloadKind::kResyncModel;
     reply.epoch = epoch_;
     reply.sender_degree = static_cast<std::uint32_t>(neighbors_.size());
     reply.resync_gen = input.payload.resync_gen;  // correlate to the rejoin
-    reply.model_blob =
-        input.payload.kind == PayloadKind::kResyncRequestSliced
-            ? model_->serialize_sliced(input.payload.slice_count,
-                                       input.payload.slice_index)
-            : model_->serialize();
+    reply.model_blob = model_->serialize();
     resync_model_bytes_sent_ += reply.model_blob.size();
     send_resync(src, reply);
   } else if (input.payload.kind == PayloadKind::kResyncModel) {

@@ -297,10 +297,6 @@ class TrustedNode {
   std::vector<NodeId> resync_pending_;
   /// Resync replies outstanding; rejoining_ clears when this hits zero.
   std::size_t resync_awaited_ = 0;
-  /// Rotating slice selector for sliced resync pulls (resync_slices > 1):
-  /// successive pulls walk the slices so repeated rejoins eventually
-  /// refresh every row.
-  std::uint32_t resync_slice_cursor_ = 0;
   /// Rejoin generation: stamped into resync requests and echoed by the
   /// reply, so a reply that outlived its rejoin (watchdog fired, another
   /// outage and rejoin happened) cannot complete the newer rejoin.

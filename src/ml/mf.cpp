@@ -370,12 +370,6 @@ void read_q8_tensor(serialize::BinaryReader& r, std::span<float> t) {
   }
 }
 
-/// Rows r in [0, n) with r % count == index.
-std::size_t slice_rows(std::size_t n, std::uint32_t count,
-                       std::uint32_t index) {
-  return n > index ? (n - index + count - 1) / count : 0;
-}
-
 }  // namespace
 
 Bytes MfModel::encode(const char* magic, TensorWriter write) const {
@@ -425,81 +419,10 @@ void MfModel::deserialize(BytesView payload) {
   const std::string magic = r.str();
   if (magic == "mfq") {
     decode(r, read_q8_tensor);
-  } else if (magic == "mfs") {
-    deserialize_sliced(r);
   } else {
     REX_REQUIRE(magic == kind(), "payload is not an MF model");
     decode(r, read_f32_tensor);
   }
-}
-
-Bytes MfModel::serialize_sliced(std::uint32_t slice_count,
-                                std::uint32_t slice_index) const {
-  REX_REQUIRE(slice_count > 0 && slice_index < slice_count,
-              "invalid MF slice spec");
-  if (slice_count == 1) return serialize();  // slice 0 of 1 == full model
-  serialize::BinaryWriter w;
-  w.str("mfs");
-  w.u32(static_cast<std::uint32_t>(config_.n_users));
-  w.u32(static_cast<std::uint32_t>(config_.n_items));
-  w.u32(static_cast<std::uint32_t>(config_.embedding_dim));
-  w.u32(slice_count);
-  w.u32(slice_index);
-  // Slice rows are fully determined by (count, index): no ids on the wire.
-  // Each tensor sends its slice rows with their biases, then their seen
-  // bits packed.
-  const auto write_slice = [&](std::size_t n, auto row, auto bias,
-                               auto seen) {
-    for (std::size_t r = slice_index; r < n; r += slice_count) {
-      w.f32_array(row(r));
-      w.f32(bias(r));
-    }
-    write_mask(w, slice_rows(n, slice_count, slice_index),
-               [&](std::size_t b) { return seen(slice_index + b * slice_count); });
-  };
-  write_slice(
-      config_.n_users, [this](std::size_t u) { return user_row(u); },
-      [this](std::size_t u) { return user_bias_at(u); },
-      [this](std::size_t u) { return has_seen_user(u) ? 1 : 0; });
-  write_slice(
-      config_.n_items,
-      [this](std::size_t i) { return item_embeddings_.row(i); },
-      [this](std::size_t i) { return item_bias_[i]; },
-      [this](std::size_t i) { return seen_item_[i]; });
-  return w.take();
-}
-
-void MfModel::deserialize_sliced(serialize::BinaryReader& r) {
-  REX_REQUIRE(r.u32() == config_.n_users && r.u32() == config_.n_items &&
-                  r.u32() == config_.embedding_dim,
-              "MF model shape mismatch");
-  const std::uint32_t count = r.u32();
-  const std::uint32_t index = r.u32();
-  REX_REQUIRE(count > 1 && index < count, "invalid MF slice spec");
-  // Non-slice rows must not participate in merges: every seen bit clears
-  // (rows not yet materialized are unseen already), then the slice rows'
-  // bits come back from the wire.
-  std::fill(seen_user_.begin(), seen_user_.end(), std::uint8_t{0});
-  std::fill(seen_item_.begin(), seen_item_.end(), std::uint8_t{0});
-  for (std::size_t u = index; u < config_.n_users; u += count) {
-    const std::size_t slot = ensure_user_slot(static_cast<data::UserId>(u));
-    r.f32_array(slot_row(slot));
-    user_bias_[slot] = r.f32();
-  }
-  read_mask(r, slice_rows(config_.n_users, count, index),
-            [&](std::size_t b, std::uint8_t bit) {
-              seen_user_[find_user_slot(
-                  static_cast<data::UserId>(index + b * count))] = bit;
-            });
-  for (std::size_t i = index; i < config_.n_items; i += count) {
-    r.f32_array(item_embeddings_.row(i));
-    item_bias_[i] = r.f32();
-  }
-  read_mask(r, slice_rows(config_.n_items, count, index),
-            [&](std::size_t b, std::uint8_t bit) {
-              seen_item_[index + b * count] = bit;
-            });
-  r.expect_end();
 }
 
 std::size_t MfModel::parameter_count() const {

@@ -61,14 +61,7 @@ class MfModel final : public RecModel {
   /// q8 affine per-tensor quantization ("mfq" blob, ~4x smaller than the
   /// exact encoding): each float tensor travels as (min, scale, u8 codes).
   [[nodiscard]] Bytes serialize_quantized() const override;
-  /// Row-sliced encoding ("mfs" blob): user/item rows r with
-  /// r % slice_count == slice_index plus their biases and seen bits.
-  [[nodiscard]] Bytes serialize_sliced(std::uint32_t slice_count,
-                                       std::uint32_t slice_index)
-      const override;
-  /// Accepts the exact ("mf"), quantized ("mfq") and sliced ("mfs")
-  /// encodings; sliced blobs clear the seen bit of every non-slice row so
-  /// merges leave those rows untouched.
+  /// Accepts the exact ("mf") and quantized ("mfq") encodings.
   void deserialize(BytesView payload) override;
   [[nodiscard]] std::size_t train_samples_per_epoch() const override {
     return config_.sgd_steps_per_epoch;
@@ -111,7 +104,6 @@ class MfModel final : public RecModel {
   /// The "mf" and "mfq" encodings: the same layout, one tensor codec.
   [[nodiscard]] Bytes encode(const char* magic, TensorWriter write) const;
   void decode(serialize::BinaryReader& r, TensorReader read);
-  void deserialize_sliced(serialize::BinaryReader& r);
 
   /// True when every user row lives at slot == user id (no index).
   [[nodiscard]] bool rows_in_user_order() const {

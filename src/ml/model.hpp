@@ -64,16 +64,6 @@ class RecModel {
     return serialize();
   }
 
-  /// Row-sliced wire encoding for resync pulls (RexConfig::resync_slices):
-  /// only parameter rows r with r % slice_count == slice_index, so k peers
-  /// can each serve 1/k of a rejoiner's state. deserialize() must accept
-  /// the blob and leave non-slice rows unmerged (seen-mask semantics). The
-  /// default returns the full encoding (slice 0 of 1 behaviour).
-  [[nodiscard]] virtual Bytes serialize_sliced(
-      std::uint32_t /*slice_count*/, std::uint32_t /*slice_index*/) const {
-    return serialize();
-  }
-
   /// Replaces parameters from a wire encoding produced by a model of the
   /// same configuration; throws rex::Error on mismatch.
   virtual void deserialize(BytesView payload) = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 
 #include "ml/topk.hpp"
 #include "sim/scenario.hpp"
@@ -169,22 +168,16 @@ void SimEngine::run_attestation() {
     return any_delivered.load(std::memory_order_relaxed);
   };
   // The 3-message handshake needs 3 delivery steps; allow slack for odd
-  // schedules, then verify. Each step is one kAttestStep event; the clock
-  // does not advance (attestation precedes simulated time in both modes).
+  // schedules, then verify. Attestation precedes simulated time in both
+  // modes: the clock does not advance and the event queue stays empty, but
+  // each step counts as one processed event.
   constexpr std::size_t kMaxSteps = 8;
-  schedule(clock_, 0, EventKind::kAttestStep);
-  while (!queue_.empty()) {
-    const Event event = queue_.pop();
-    REX_CHECK(event.kind == EventKind::kAttestStep,
-              "non-attestation event before initialize()");
-    --non_query_queued_;
+  bool any_delivered = true;
+  while (any_delivered && attestation_rounds_ < kMaxSteps) {
     ++events_processed_;
-    transport_.flush_round();
-    const bool any_delivered = deliver_all();
     ++attestation_rounds_;
-    if (any_delivered && attestation_rounds_ < kMaxSteps) {
-      schedule(clock_, 0, EventKind::kAttestStep);
-    }
+    transport_.flush_round();
+    any_delivered = deliver_all();
   }
   transport_.flush_round();  // deliver stragglers of the final step
   (void)deliver_all();
@@ -216,14 +209,11 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
   events_processed_ += n;
   if (config_.mode == EngineMode::kBarrier) {
     if (query_load_.enabled()) {
-      // Pre-draw each node's first arrival (+ user pick, same draw order
-      // as the event path); collect_round_record serves each round's
-      // window after the round's math.
-      barrier_query_next_.resize(n);
+      // Pre-draw each node's first arrival; collect_round_record serves
+      // each round's window after the round's math.
+      barrier_query_next_.reserve(n);
       for (core::NodeId id = 0; id < n; ++id) {
-        barrier_query_next_[id].arrival =
-            query_load_.next_arrival(id, SimTime{0.0}, query_rngs_[id]);
-        barrier_query_next_[id].user_pick = query_rngs_[id].next_u64();
+        barrier_query_next_.push_back(draw_query(id, SimTime{0.0}));
       }
     }
     transport_.flush_round();
@@ -290,16 +280,9 @@ void SimEngine::run_barrier_round() {
 void SimEngine::collect_round_record() {
   const std::size_t n = hosts_.size();
   const SimTime round_start = clock_;
-  RoundRecord record;
-  record.epoch = result_.rounds.size();
-  record.nodes_reporting = n;
-
-  SimTime slowest;
-  double rmse_sum = 0.0, bytes_sum = 0.0, mem_sum = 0.0, store_sum = 0.0;
-  record.min_rmse = std::numeric_limits<double>::infinity();
+  EpochBucket bucket;
   for (core::NodeId id = 0; id < n; ++id) {
     const core::UntrustedHost& host = hosts_[id];
-    const core::EpochCounters& c = host.trusted().last_epoch();
     StageTimes stages = cost_model_.stage_times(host);
     if (config_.dynamics.heterogeneous()) {
       // Same per-node draw sequence as the event engine, so barrier-vs-async
@@ -307,50 +290,81 @@ void SimEngine::collect_round_record() {
       stages = stages * epoch_slowdown(id);
     }
     note_epochs_done(id, 1);
-    if (query_load_.enabled()) {
-      // Serving bookkeeping (DESIGN.md §9): in a barrier round the node
-      // computes over [round_start, round_start + its stage total]; the
-      // model it serves afterwards became current at that compute end.
-      NodeStatus& status = nodes_[id];
-      status.busy_until = round_start + stages.total();
-      status.model_fresh_at = status.busy_until;
-      status.model_epoch = host.trusted().epochs_completed();
-    }
-
-    slowest = std::max(slowest, stages.total());
-    record.mean_stages += stages;
-    record.max_stages = max(record.max_stages, stages);
-
-    rmse_sum += c.rmse;
-    record.min_rmse = std::min(record.min_rmse, c.rmse);
-    record.max_rmse = std::max(record.max_rmse, c.rmse);
-    const net::TrafficStats& traffic = transport_.epoch_stats(id);
-    bytes_sum += static_cast<double>(traffic.bytes_total());
-    const double memory =
-        static_cast<double>(host.runtime().stats().resident_bytes);
-    mem_sum += memory;
-    record.max_memory_bytes = std::max(record.max_memory_bytes, memory);
-    store_sum += static_cast<double>(c.store_size);
-    record.duplicates_dropped += c.duplicates_dropped;
-    record.bytes_saved_compression += c.bytes_saved_compression;
+    // Serving bookkeeping (DESIGN.md §9): the node computes over
+    // [round_start, round_start + its stage total]; the model it serves
+    // afterwards became current at that compute end.
+    NodeStatus& status = nodes_[id];
+    status.busy_until = round_start + stages.total();
+    status.model_fresh_at = status.busy_until;
+    fold_epoch(bucket, id, host.trusted().last_epoch(), stages,
+               stages.total(), transport_.epoch_stats(id).bytes_total());
   }
-  if (record.min_rmse > record.max_rmse) {
-    record.min_rmse = record.max_rmse;  // no nodes reported: never leak +inf
-  }
-  const double dn = static_cast<double>(n);
-  record.mean_rmse = rmse_sum / dn;
-  record.mean_bytes_in_out = bytes_sum / dn;
-  record.mean_stages = record.mean_stages / dn;
-  record.mean_memory_bytes = mem_sum / dn;
-  record.mean_store_size = store_sum / dn;
-
+  RoundRecord record = bucket_record(result_.rounds.size(), bucket);
   // Homogeneous: the historical global propagation latency, bit-identical.
   // WAN profiles: the barrier waits for its slowest link every round.
-  record.round_time = slowest + links_.round_latency();
+  record.round_time = bucket.duration_max + links_.round_latency();
   clock_ += record.round_time;
   record.cumulative_time = clock_;
   result_.rounds.push_back(record);
-  if (query_load_.enabled()) run_barrier_queries(clock_);
+  if (!query_load_.enabled()) return;
+  // Every pre-drawn arrival before the round's end, nodes in id order.
+  for (core::NodeId id = 0; id < n; ++id) {
+    QueryJob& next = barrier_query_next_[id];
+    while (next.arrival < clock_) {
+      answer_query(id, next);
+      account_query(id, next);
+      next = draw_query(id, next.arrival);
+    }
+  }
+}
+
+void SimEngine::fold_epoch(EpochBucket& bucket, core::NodeId id,
+                           const core::EpochCounters& counters,
+                           const StageTimes& stages, SimTime duration,
+                           std::uint64_t bytes) const {
+  const bool first = bucket.contributors == 0;
+  ++bucket.contributors;
+  // Partition-aware sample: the fraction of the network online while this
+  // record was collected (barrier and churn-free runs stay at exactly 1.0).
+  bucket.reachable_sum += static_cast<double>(online_count_) /
+                          static_cast<double>(nodes_.size());
+  bucket.rmse_sum += counters.rmse;
+  bucket.rmse_min =
+      first ? counters.rmse : std::min(bucket.rmse_min, counters.rmse);
+  bucket.rmse_max = std::max(bucket.rmse_max, counters.rmse);
+  bucket.stage_sum += stages;
+  bucket.stage_max = max(bucket.stage_max, stages);
+  bucket.bytes_sum += static_cast<double>(bytes);
+  const double memory =
+      static_cast<double>(hosts_[id].runtime().stats().resident_bytes);
+  bucket.mem_sum += memory;
+  bucket.mem_max = std::max(bucket.mem_max, memory);
+  bucket.store_sum += static_cast<double>(counters.store_size);
+  bucket.duplicates += counters.duplicates_dropped;
+  bucket.bytes_saved += counters.bytes_saved_compression;
+  bucket.duration_sum += duration;
+  bucket.duration_max = std::max(bucket.duration_max, duration);
+}
+
+RoundRecord SimEngine::bucket_record(std::size_t epoch,
+                                     const EpochBucket& bucket) {
+  const double dn = static_cast<double>(bucket.contributors);
+  RoundRecord record;
+  record.epoch = epoch;
+  record.nodes_reporting = bucket.contributors;
+  record.reachable_fraction = bucket.reachable_sum / dn;
+  record.mean_rmse = bucket.rmse_sum / dn;
+  record.min_rmse = bucket.rmse_min;
+  record.max_rmse = bucket.rmse_max;
+  record.mean_bytes_in_out = bucket.bytes_sum / dn;
+  record.mean_stages = bucket.stage_sum / dn;
+  record.max_stages = bucket.stage_max;
+  record.mean_memory_bytes = bucket.mem_sum / dn;
+  record.max_memory_bytes = bucket.mem_max;
+  record.mean_store_size = bucket.store_sum / dn;
+  record.duplicates_dropped = bucket.duplicates;
+  record.bytes_saved_compression = bucket.bytes_saved;
+  return record;
 }
 
 // ===== Event mode =====
@@ -405,7 +419,7 @@ void SimEngine::apply_event_math(const Event& event) {
       return;
     }
     case EventKind::kQuery: {
-      apply_query_math(event);
+      answer_query(event.node, query_slots_[event.slot]);
       return;
     }
     // Pure scheduling/bookkeeping events: handled in the serial phase.
@@ -413,7 +427,6 @@ void SimEngine::apply_event_math(const Event& event) {
     case EventKind::kTest:
     case EventKind::kChurnUp:
     case EventKind::kRejoinDeadline:
-    case EventKind::kAttestStep:
     case EventKind::kReattestSweep:
       return;
   }
@@ -455,44 +468,19 @@ void SimEngine::serial_event_hook(const Event& event) {
     }
     case EventKind::kTest: {
       const PendingEpoch& pe = epoch_slots_[event.slot];
+      NodeStatus& status = nodes_[event.node];
       note_epochs_done(event.node, 1);
-      if (query_load_.enabled()) {
-        // The model this record describes is what queries arriving from
-        // here on are answered with (DESIGN.md §9).
-        nodes_[event.node].model_fresh_at = pe.end;
-        nodes_[event.node].model_epoch = pe.counters.epoch;
-      }
+      // The model this record describes is what queries arriving from here
+      // on are answered with (DESIGN.md §9).
+      status.model_fresh_at = pe.end;
 
       const std::size_t epoch = static_cast<std::size_t>(pe.counters.epoch);
       if (buckets_.size() <= epoch) buckets_.resize(epoch + 1);
       EpochBucket& bucket = buckets_[epoch];
-      const bool first = bucket.contributors == 0;
-      ++bucket.contributors;
-      // Partition-aware sample: the fraction of the network online while
-      // this record was collected (churn-free runs stay at exactly 1.0).
-      bucket.reachable_sum += static_cast<double>(online_count_) /
-                              static_cast<double>(nodes_.size());
-      bucket.rmse_sum += pe.counters.rmse;
-      bucket.rmse_min =
-          first ? pe.counters.rmse : std::min(bucket.rmse_min, pe.counters.rmse);
-      bucket.rmse_max = std::max(bucket.rmse_max, pe.counters.rmse);
-      bucket.stage_sum += pe.stages;
-      bucket.stage_max = max(bucket.stage_max, pe.stages);
-
       const net::TrafficStats& cumulative = transport_.stats(event.node);
-      net::TrafficStats& mark = nodes_[event.node].traffic_mark;
-      bucket.bytes_sum +=
-          static_cast<double>(cumulative.bytes_total() - mark.bytes_total());
-      mark = cumulative;
-
-      const double memory = static_cast<double>(
-          hosts_[event.node].runtime().stats().resident_bytes);
-      bucket.mem_sum += memory;
-      bucket.mem_max = std::max(bucket.mem_max, memory);
-      bucket.store_sum += static_cast<double>(pe.counters.store_size);
-      bucket.duplicates += pe.counters.duplicates_dropped;
-      bucket.bytes_saved += pe.counters.bytes_saved_compression;
-      bucket.duration_sum += pe.end - pe.start;
+      fold_epoch(bucket, event.node, pe.counters, pe.stages, pe.end - pe.start,
+                 cumulative.bytes_total() - status.traffic_mark.bytes_total());
+      status.traffic_mark = cumulative;
       bucket.last_end = std::max(bucket.last_end, pe.end);
       epoch_slots_.release(event.slot);
       return;
@@ -554,12 +542,17 @@ void SimEngine::serial_event_hook(const Event& event) {
       return;
     }
     case EventKind::kQuery: {
-      account_query(event);
+      account_query(event.node, query_slots_[event.slot]);
+      query_slots_.release(event.slot);
+      // Chain the node's next arrival only while non-query work remains:
+      // when training/churn/WAN activity has quiesced, the chains drain and
+      // the run ends (N open-loop chains would otherwise keep each other
+      // alive).
+      if (non_query_queued_ > 0) schedule_query(event.node, event.time);
       return;
     }
     case EventKind::kTrain:
-    case EventKind::kAttestStep:
-      return;  // math-phase / pre-protocol events: nothing to do here
+      return;  // math-phase event: nothing to do here
   }
 }
 
@@ -592,19 +585,15 @@ void SimEngine::release_envelope(net::Envelope env, SimTime release) {
     return;
   }
   transport_.record_send(env);  // the envelope actually hits the wire
-  NodeStatus& sender = nodes_[env.src];
   SimTime sent = release;
   SimTime deliver_at;
   if (links_.heterogeneous()) {
     const std::size_t e = links_.edge_id(env.src, env.dst);
     const SimTime tx{static_cast<double>(env.wire_size()) /
                      links_.edge_bandwidth_bytes_per_s(e)};
-    // Queueing on: transmissions serialize on the sender's uplink (sum of
-    // tx times). Off: each envelope still pays its own transmission, but
-    // they overlap (max) — the ablation contrast. Control traffic always
-    // queues (it shares the wire with the data plane).
-    const bool queue = links_.sender_queueing() || control;
-    sent = queue ? sender.tx.transmit(release, tx) : release + tx;
+    // Transmissions serialize on the sender's uplink (sum of tx times),
+    // data shares and control traffic alike: they share one wire.
+    sent = nodes_[env.src].tx.transmit(release, tx);
     deliver_at = sent + SimTime{links_.edge_latency_s(e)};
     // FIFO channel per directed pair: a later release never arrives before
     // an earlier one (size-dependent tx times and deferred releases could
@@ -731,26 +720,29 @@ void SimEngine::run_reattest_sweep(SimTime now) {
 
 // ===== Serving path (DESIGN.md §9) =====
 
-void SimEngine::schedule_query(core::NodeId node, SimTime after) {
-  const SimTime arrival =
-      query_load_.next_arrival(node, after, query_rngs_[node]);
-  const std::uint32_t slot = query_slots_.acquire();
-  QueryJob& job = query_slots_[slot];
-  job = QueryJob{};
+SimEngine::QueryJob SimEngine::draw_query(core::NodeId node, SimTime after) {
+  QueryJob job;
+  job.arrival = query_load_.next_arrival(node, after, query_rngs_[node]);
   job.user_pick = query_rngs_[node].next_u64();
-  schedule(arrival, node, EventKind::kQuery, slot);
+  return job;
 }
 
-void SimEngine::apply_query_math(const Event& event) {
-  NodeStatus& status = nodes_[event.node];
-  QueryJob& job = query_slots_[event.slot];
-  if (!status.online && event.time >= status.offline_since) {
+void SimEngine::schedule_query(core::NodeId node, SimTime after) {
+  const std::uint32_t slot = query_slots_.acquire();
+  QueryJob& job = query_slots_[slot];
+  job = draw_query(node, after);
+  schedule(job.arrival, node, EventKind::kQuery, slot);
+}
+
+void SimEngine::answer_query(core::NodeId node, QueryJob& job) {
+  const NodeStatus& status = nodes_[node];
+  if (!status.online && job.arrival >= status.offline_since) {
     // Same rule as prepare_delivery: the replica's outage has begun, the
     // request has nowhere to go (routing to a warm peer is future work).
     job.dropped = true;
     return;
   }
-  core::TrustedNode& trusted = hosts_[event.node].trusted();
+  core::TrustedNode& trusted = hosts_[node].trusted();
   const std::size_t users = trusted.local_user_count();
   const data::UserId user =
       users > 0 ? trusted.local_user(
@@ -760,8 +752,7 @@ void SimEngine::apply_query_math(const Event& event) {
   // the partial-sort select actually run (this is the wall-clock hot path
   // bench_serving measures), even though the simulated service time below
   // comes from the cost model.
-  const core::TrustedNode::QueryAnswer answer =
-      trusted.query_topk(user, query_load_.config().top_k);
+  (void)trusted.query_topk(user, query_load_.config().top_k);
   const SimTime compute = cost_model_.query_time(
       ml::TopKIndex::flops_per_query(trusted.model()), status.slowdown);
   // Open-loop replica model: a query arriving while the node is mid-epoch
@@ -772,77 +763,26 @@ void SimEngine::apply_query_math(const Event& event) {
   // busy_until: serving does not slow training down, which keeps training
   // metrics byte-identical with the load on.
   const double wait =
-      std::max(0.0, (status.busy_until - event.time).seconds);
+      std::max(0.0, (status.busy_until - job.arrival).seconds);
   job.latency_s = wait + compute.seconds;
-  if (wait > 0.0) {
-    job.staleness_s = 0.0;
-    job.epoch = answer.epoch;
-  } else {
-    job.staleness_s =
-        std::max(0.0, (event.time - status.model_fresh_at).seconds);
-    job.epoch = status.model_epoch;
-  }
+  job.staleness_s =
+      wait > 0.0
+          ? 0.0
+          : std::max(0.0, (job.arrival - status.model_fresh_at).seconds);
 }
 
-void SimEngine::account_query(const Event& event) {
-  NodeStatus& status = nodes_[event.node];
-  QueryJob& job = query_slots_[event.slot];
+void SimEngine::account_query(core::NodeId node, const QueryJob& job) {
+  NodeStatus& status = nodes_[node];
   ++status.queries_issued;
   if (job.dropped) {
     ++status.queries_dropped_offline;
-  } else {
-    ++status.queries_served;
-    query_latency_.record(job.latency_s);
-    query_staleness_.record(job.staleness_s);
-    if (job.staleness_s > query_load_.config().stale_threshold_s) {
-      ++status.queries_stale;
-    }
+    return;
   }
-  query_slots_.release(event.slot);
-  // Chain the node's next arrival only while non-query work remains: when
-  // training/churn/WAN activity has quiesced, the chains drain and the run
-  // ends (N open-loop chains would otherwise keep each other alive).
-  if (non_query_queued_ > 0) schedule_query(event.node, event.time);
-}
-
-void SimEngine::run_barrier_queries(SimTime round_end) {
-  const std::size_t n = hosts_.size();
-  for (core::NodeId id = 0; id < n; ++id) {
-    NodeStatus& status = nodes_[id];
-    core::TrustedNode& trusted = hosts_[id].trusted();
-    PendingQuery& next = barrier_query_next_[id];
-    while (next.arrival < round_end) {
-      const SimTime arrival = next.arrival;
-      ++status.queries_issued;
-      const std::size_t users = trusted.local_user_count();
-      const data::UserId user =
-          users > 0 ? trusted.local_user(
-                          static_cast<std::size_t>(next.user_pick % users))
-                    : 0;
-      const core::TrustedNode::QueryAnswer answer =
-          trusted.query_topk(user, query_load_.config().top_k);
-      (void)answer;
-      const SimTime compute = cost_model_.query_time(
-          ml::TopKIndex::flops_per_query(trusted.model()), status.slowdown);
-      // Same latency/staleness model as the event path; busy_until and
-      // model_fresh_at were stamped to this round's per-node compute end
-      // in collect_round_record. Nodes never churn in barrier mode, so no
-      // drops.
-      const double wait =
-          std::max(0.0, (status.busy_until - arrival).seconds);
-      const double staleness =
-          wait > 0.0
-              ? 0.0
-              : std::max(0.0, (arrival - status.model_fresh_at).seconds);
-      ++status.queries_served;
-      query_latency_.record(wait + compute.seconds);
-      query_staleness_.record(staleness);
-      if (staleness > query_load_.config().stale_threshold_s) {
-        ++status.queries_stale;
-      }
-      next.arrival = query_load_.next_arrival(id, arrival, query_rngs_[id]);
-      next.user_pick = query_rngs_[id].next_u64();
-    }
+  ++status.queries_served;
+  query_latency_.record(job.latency_s);
+  query_staleness_.record(job.staleness_s);
+  if (job.staleness_s > query_load_.config().stale_threshold_s) {
+    ++status.queries_stale;
   }
 }
 
@@ -967,55 +907,45 @@ bool SimEngine::process_next_batch() {
   events_processed_ += batch_.size();
   ++batches_processed_;
 
-  // Fast path: most batches hold a single event (distinct timestamps), for
-  // which grouping and the worker handoff are pure overhead. Semantics are
-  // identical — one event is trivially "in seq order within its node".
+  // Math phase. Fast path: most batches hold a single event (distinct
+  // timestamps), for which grouping and the worker handoff are pure
+  // overhead — one event is trivially "in seq order within its node".
+  batch_nodes_.clear();
   if (batch_.size() == 1) {
-    const Event& event = batch_.front();
-    apply_event_math(event);
-    serial_event_hook(event);
-    if (hosts_[event.node].trusted().epochs_completed() >
-        nodes_[event.node].epochs_seen) {
-      post_epoch(event.node, t);
-    } else {
-      flush_control(event.node, t);  // rejoin traffic raised this event
+    apply_event_math(batch_.front());
+    batch_nodes_.push_back(batch_.front().node);
+  } else {
+    // Parallel: group by node (nodes own disjoint state), one
+    // work-stealing shard per node, events within a node in seq order. The
+    // grouping containers are all recycled: stamps make the per-node lookup
+    // table reset lazily instead of O(n) per batch.
+    for (std::size_t g = 0; g < groups_used_; ++g) groups_[g].clear();
+    groups_used_ = 0;
+    ++batch_stamp_;
+    for (const Event& event : batch_) {  // batch is already seq-sorted
+      GroupRef& ref = group_refs_[event.node];
+      if (ref.stamp != batch_stamp_) {
+        ref.stamp = batch_stamp_;
+        ref.slot = static_cast<std::uint32_t>(groups_used_);
+        if (groups_used_ == groups_.size()) groups_.emplace_back();
+        ++groups_used_;
+      }
+      groups_[ref.slot].push_back(&event);
     }
-    check_rejoin(event.node, t);
-    if (harness_ != nullptr) harness_->on_batch(clock_);
-    return true;
-  }
-
-  // Parallel math phase: group by node (nodes own disjoint state), one
-  // work-stealing shard per node, events within a node in seq order. The
-  // grouping containers are all recycled: stamps make the per-node lookup
-  // table reset lazily instead of O(n) per batch.
-  for (std::size_t g = 0; g < groups_used_; ++g) groups_[g].clear();
-  groups_used_ = 0;
-  ++batch_stamp_;
-  for (const Event& event : batch_) {  // batch is already seq-sorted
-    GroupRef& ref = group_refs_[event.node];
-    if (ref.stamp != batch_stamp_) {
-      ref.stamp = batch_stamp_;
-      ref.slot = static_cast<std::uint32_t>(groups_used_);
-      if (groups_used_ == groups_.size()) groups_.emplace_back();
-      ++groups_used_;
+    pool_.parallel_shards(groups_used_, [&](std::size_t g) {
+      for (const Event* event : groups_[g]) apply_event_math(*event);
+    });
+    for (std::size_t g = 0; g < groups_used_; ++g) {
+      batch_nodes_.push_back(groups_[g].front()->node);
     }
-    groups_[ref.slot].push_back(&event);
+    std::sort(batch_nodes_.begin(), batch_nodes_.end());
   }
-  pool_.parallel_shards(groups_used_, [&](std::size_t g) {
-    for (const Event* event : groups_[g]) apply_event_math(*event);
-  });
 
   // Serial scheduling phase: event hooks in seq order, then completed
   // protocol runs in node-id order — deterministic regardless of threads.
   // Only nodes that processed an event this batch can have completed an
   // epoch, so sweep those, not all n (batches are usually a single event).
   for (const Event& event : batch_) serial_event_hook(event);
-  batch_nodes_.clear();
-  for (std::size_t g = 0; g < groups_used_; ++g) {
-    batch_nodes_.push_back(groups_[g].front()->node);
-  }
-  std::sort(batch_nodes_.begin(), batch_nodes_.end());
   for (const core::NodeId id : batch_nodes_) {
     if (hosts_[id].trusted().epochs_completed() > nodes_[id].epochs_seen) {
       post_epoch(id, t);
@@ -1102,23 +1032,9 @@ void SimEngine::finalize_async_records() {
   for (std::size_t epoch = 0; epoch < buckets_.size(); ++epoch) {
     const EpochBucket& bucket = buckets_[epoch];
     if (bucket.contributors == 0) continue;
-    const double dn = static_cast<double>(bucket.contributors);
-    RoundRecord record;
-    record.epoch = epoch;
-    record.nodes_reporting = bucket.contributors;
-    record.reachable_fraction = bucket.reachable_sum / dn;
-    record.mean_rmse = bucket.rmse_sum / dn;
-    record.min_rmse = bucket.rmse_min;
-    record.max_rmse = bucket.rmse_max;
-    record.mean_bytes_in_out = bucket.bytes_sum / dn;
-    record.mean_stages = bucket.stage_sum / dn;
-    record.max_stages = bucket.stage_max;
-    record.mean_memory_bytes = bucket.mem_sum / dn;
-    record.max_memory_bytes = bucket.mem_max;
-    record.mean_store_size = bucket.store_sum / dn;
-    record.duplicates_dropped = bucket.duplicates;
-    record.bytes_saved_compression = bucket.bytes_saved;
-    record.round_time = SimTime{bucket.duration_sum.seconds / dn};
+    RoundRecord record = bucket_record(epoch, bucket);
+    record.round_time = SimTime{bucket.duration_sum.seconds /
+                                static_cast<double>(bucket.contributors)};
     // The time by which this epoch index was complete across all reporting
     // nodes. A slow node's late epoch e can outlast fast nodes' epoch e+1,
     // so take a running max to keep total_time()/time_to_reach() on a

@@ -2,13 +2,13 @@
 //
 // Replaces the fixed barrier loop as the core of the simulation stack: a
 // deterministic simulated-time event queue of per-node events (deliver,
-// train, share, test, attest-step, churn-up) driven by the CostModel, so
-// each node advances at its own simulated speed instead of waiting on the
-// slowest peer. Two scheduling disciplines:
+// train, share, test, churn-up, rejoin-deadline, reattest-sweep, query)
+// driven by the CostModel, so each node advances at its own simulated speed
+// instead of waiting on the slowest peer. Two scheduling disciplines:
 //
-//   kBarrier      the paper's synchronized rounds (§III-D). Each round is
-//                 one batch of same-timestamp kTrain events, one per node,
-//                 executed concurrently; the round clock advances by the
+//   kBarrier      the paper's synchronized rounds (§III-D). Each round runs
+//                 every node's epoch concurrently (ThreadPool::parallel_for
+//                 static blocks, no queue); the round clock advances by the
 //                 slowest node's stage total plus one propagation latency.
 //                 Metrics are bit-identical to the historical
 //                 `deliver_and_run_round` loop for the same seed.
@@ -23,14 +23,19 @@
 //                 make heterogeneous deployments expressible — fast nodes
 //                 simply complete more epochs.
 //
+// Both disciplines share one record path (each node epoch folds into a
+// per-epoch EpochBucket, one bucket becomes one RoundRecord) and one serving
+// path (draw_query / answer_query / account_query). Secure runs attest
+// before either starts, in a bounded loop outside simulated time.
+//
 // Links: delivery times come from the injected sim::LinkModel. Under the
 // homogeneous default every edge shares the CostModel's global latency and
 // metrics are bit-identical to the single-latency engine; under a WAN
 // profile (CostParams::wan) each delivery pays its edge's drawn latency and
-// the sender first serializes the envelope through its per-node TxQueue —
-// a share to k neighbors occupies the uplink for the sum of the k
-// transmission times, not the max (DESIGN.md §5). Per-edge delivery
-// counters feed report.cpp's write_edge_csv.
+// the sender serializes the envelope through its per-node TxQueue — a
+// share to k neighbors occupies the uplink for the sum of the k
+// transmission times (DESIGN.md §5). Per-edge delivery counters feed
+// report.cpp's write_edge_csv.
 //
 // Determinism: all event processing at one timestamp is split into a
 // parallel math phase over per-node batches (nodes own disjoint state;
@@ -203,7 +208,7 @@ class SimEngine {
     /// Cumulative traffic at the last kTest record (per-epoch deltas).
     net::TrafficStats traffic_mark;
     /// Sender-side wire-occupancy queue (WAN profiles only): outgoing
-    /// envelopes serialize through this instead of propagating in parallel.
+    /// envelopes serialize through this.
     TxQueue tx;
     /// Healed partition/regional-outage windows whose cut traffic touched
     /// this node (stamped by sim::ScenarioHarness, DESIGN.md §8).
@@ -218,8 +223,6 @@ class SimEngine {
     /// When the node's current model became current (its last recorded
     /// epoch end) — the staleness zero point served to queries.
     SimTime model_fresh_at;
-    /// Epoch of that model (the epoch stamp on non-waiting answers).
-    std::uint64_t model_epoch = 0;
   };
 
   /// Per-undirected-edge delivery counters, kept only when the LinkModel is
@@ -257,8 +260,8 @@ class SimEngine {
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
-  /// Pre-protocol mutual attestation (no-op in native mode): one
-  /// kAttestStep event per delivery step until the handshakes quiesce.
+  /// Pre-protocol mutual attestation (no-op in native mode): delivery steps
+  /// until the handshakes quiesce, each counted as one processed event.
   /// Throws if any pair fails to attest within a bounded number of steps.
   void run_attestation();
 
@@ -378,10 +381,45 @@ class SimEngine {
   /// Advances a node's epochs_done and maintains the incremental
   /// below-target counter run_epochs spins on.
   void note_epochs_done(core::NodeId id, std::uint64_t count);
-  void collect_round_record();
+
+  /// Per-epoch-index aggregation: every node epoch of either discipline
+  /// folds into one of these, and one bucket becomes one RoundRecord.
+  struct EpochBucket {
+    std::size_t contributors = 0;
+    /// Sum over contributors of the online fraction at their fold time
+    /// (reachable_fraction = reachable_sum / contributors).
+    double reachable_sum = 0.0;
+    double rmse_sum = 0.0;
+    double rmse_min = 0.0;
+    double rmse_max = 0.0;
+    StageTimes stage_sum;
+    StageTimes stage_max;
+    double bytes_sum = 0.0;
+    double mem_sum = 0.0;
+    double mem_max = 0.0;
+    double store_sum = 0.0;
+    std::uint64_t duplicates = 0;
+    std::uint64_t bytes_saved = 0;  // wire bytes avoided by compression
+    SimTime duration_sum;
+    SimTime duration_max;  // the slowest contributor's epoch
+    SimTime last_end;      // event-driven only: latest contributor end
+  };
+  /// Folds node `id`'s epoch (counters, slowdown-scaled stages, simulated
+  /// duration, wire bytes moved) into `bucket`.
+  void fold_epoch(EpochBucket& bucket, core::NodeId id,
+                  const core::EpochCounters& counters,
+                  const StageTimes& stages, SimTime duration,
+                  std::uint64_t bytes) const;
+  /// The bucket's record; round_time and cumulative_time stay per
+  /// discipline and are left to the caller.
+  [[nodiscard]] static RoundRecord bucket_record(std::size_t epoch,
+                                                 const EpochBucket& bucket);
 
   // ===== barrier mode =====
   void run_barrier_round();
+  /// Folds every node's round into one record, advances the round clock
+  /// and serves the pre-drawn queries that arrived before the round's end.
+  void collect_round_record();
 
   // ===== event mode =====
   /// Pops and executes every event at the earliest queued timestamp:
@@ -399,13 +437,13 @@ class SimEngine {
   /// kShare and kTest events; for RMW, schedule the next train timer.
   void post_epoch(core::NodeId id, SimTime start);
   void serial_event_hook(const Event& event);
+  /// One record per epoch index any node reached.
   void finalize_async_records();
-  /// Releases one envelope onto the wire at `release` (per-edge tx +
-  /// latency; control traffic always serializes through the sender's
-  /// uplink queue) and schedules its kDeliver. Applies the offline-shares
-  /// policy when the destination is known to be down: elide (no
-  /// transmission, nothing accounted) or defer (transmit at the peer's
-  /// return). DESIGN.md §6.
+  /// Releases one envelope onto the wire at `release` (per-edge tx through
+  /// the sender's uplink queue + latency) and schedules its kDeliver.
+  /// Applies the offline-shares policy when the destination is known to be
+  /// down: elide (no transmission, nothing accounted) or defer (transmit at
+  /// the peer's return). DESIGN.md §6.
   void release_envelope(net::Envelope env, SimTime release);
   /// Drains a node's outbox of control traffic (attestation, resync) and
   /// releases it at `now`. Only post_epoch may leave protocol shares in an
@@ -421,44 +459,32 @@ class SimEngine {
   /// (DESIGN.md §8 "Re-attestation sweep").
   void run_reattest_sweep(SimTime now);
 
-  // ===== serving path (DESIGN.md §9) =====
-  /// Draws `node`'s next arrival (strictly after `after`) plus its user
-  /// pick from the node's serving RNG stream and schedules the kQuery.
-  /// Serial phase only.
-  void schedule_query(core::NodeId node, SimTime after);
-  /// Math side of one kQuery: offline drop check, top-k inference against
-  /// the node's current model, latency/staleness into the job slot.
-  void apply_query_math(const Event& event);
-  /// Serial side: per-node counters, the percentile estimators, slot
-  /// release, and — while non-query work remains queued — the next arrival
-  /// of this node's chain (the guard keeps N query chains from keeping
-  /// each other, or a finished run, alive).
-  void account_query(const Event& event);
-  /// Barrier mode: serves every pre-drawn arrival before `round_end` after
-  /// the round's math, walking nodes in id order (trivially deterministic).
-  /// The wait/staleness window comes from the per-node busy_until /
-  /// model_fresh_at stamps collect_round_record just wrote.
-  void run_barrier_queries(SimTime round_end);
-
-  /// One in-flight query, slot-addressed through Event::slot. The arrival
-  /// time and user pick are drawn at schedule time (serial phase); the math
-  /// phase fills in the answer fields.
+  // ===== serving path (DESIGN.md §9), both disciplines =====
+  /// One query: the arrival time and user pick are drawn in the serial
+  /// phase; answer_query fills in the answer fields. Event-driven runs
+  /// address in-flight jobs through Event::slot, barrier runs keep each
+  /// node's next pre-drawn job in barrier_query_next_.
   struct QueryJob {
-    /// Raw u64 draw, mapped onto the node's local-user list in the math
-    /// phase (the list is fixed after ecall_init, so the mapping is
+    SimTime arrival;
+    /// Raw u64 draw, mapped onto the node's local-user list when answered
+    /// (the list is fixed after ecall_init, so the mapping is
     /// schedule-independent).
     std::uint64_t user_pick = 0;
     double latency_s = 0.0;
     double staleness_s = 0.0;
-    std::uint64_t epoch = 0;  // epoch stamp of the answer
-    bool dropped = false;     // replica offline at arrival
+    bool dropped = false;  // replica offline at arrival
   };
-  /// Barrier mode's pre-drawn next arrival per node (the event queue is
-  /// not used during rounds).
-  struct PendingQuery {
-    SimTime arrival;
-    std::uint64_t user_pick = 0;
-  };
+  /// Draws `node`'s next arrival (strictly after `after`) plus its user
+  /// pick from the node's serving RNG stream. Serial phase only.
+  [[nodiscard]] QueryJob draw_query(core::NodeId node, SimTime after);
+  /// draw_query + the kQuery event that carries the job.
+  void schedule_query(core::NodeId node, SimTime after);
+  /// Offline drop check, top-k inference against the node's current model,
+  /// latency/staleness into `job`. Touches only the node's own state, so
+  /// kQuery events run it in the parallel math phase.
+  void answer_query(core::NodeId node, QueryJob& job);
+  /// Per-node counters and the percentile estimators. Serial phase only.
+  void account_query(core::NodeId node, const QueryJob& job);
 
   /// One completed node epoch awaiting its kTest timestamp.
   struct PendingEpoch {
@@ -466,26 +492,6 @@ class SimEngine {
     StageTimes stages;  // already scaled by the epoch's slowdown
     SimTime start;
     SimTime end;
-  };
-  /// Per-epoch-index aggregation bucket for async records.
-  struct EpochBucket {
-    std::size_t contributors = 0;
-    /// Sum over contributors of the online fraction at their kTest time
-    /// (reachable_fraction = reachable_sum / contributors).
-    double reachable_sum = 0.0;
-    double rmse_sum = 0.0;
-    double rmse_min = 0.0;
-    double rmse_max = 0.0;
-    StageTimes stage_sum;
-    StageTimes stage_max;
-    double bytes_sum = 0.0;
-    double mem_sum = 0.0;
-    double mem_max = 0.0;
-    double store_sum = 0.0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t bytes_saved = 0;  // wire bytes avoided by compression
-    SimTime duration_sum;
-    SimTime last_end;
   };
 
   const core::RexConfig& rex_;
@@ -539,7 +545,7 @@ class SimEngine {
   QueryLoad query_load_;
   std::vector<Rng> query_rngs_;         // one serving stream per node
   SlotPool<QueryJob> query_slots_;      // kQuery
-  std::vector<PendingQuery> barrier_query_next_;  // barrier mode only
+  std::vector<QueryJob> barrier_query_next_;  // barrier mode only
   PercentileEstimator query_latency_{1e-6, 1e3};
   PercentileEstimator query_staleness_{1e-6, 1e5};
   /// Queued events that are NOT kQuery. Query chains reschedule only while
@@ -566,7 +572,7 @@ class SimEngine {
   SlotPool<net::Envelope> delivery_slots_;             // kDeliver
   SlotPool<std::vector<net::Envelope>> share_slots_;   // kShare
   SlotPool<PendingEpoch> epoch_slots_;                 // kTest
-  std::vector<EpochBucket> buckets_;
+  std::vector<EpochBucket> buckets_;  // event-driven records, by epoch
 
   // Recycled batch scratch (process_next_batch): cleared, never shrunk.
   std::vector<Event> batch_;

@@ -21,7 +21,6 @@ enum class EventKind : std::uint8_t {
   kTrain,       // a node's train timer fires (RMW period / barrier round)
   kShare,       // a node's queued shares hit the wire (schedules kDeliver)
   kTest,        // a node's epoch completes: metrics bookkeeping
-  kAttestStep,  // one pre-protocol attestation delivery step
   kChurnUp,     // a churned node comes back online (starts the rejoin)
   /// Rejoin watchdog: if the node's re-attestation + resync exchange has not
   /// finished by this time (a contacted neighbor churned away mid-handshake),
@@ -51,7 +50,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::kTrain: return "train";
     case EventKind::kShare: return "share";
     case EventKind::kTest: return "test";
-    case EventKind::kAttestStep: return "attest";
     case EventKind::kChurnUp: return "churn-up";
     case EventKind::kRejoinDeadline: return "rejoin-deadline";
     case EventKind::kReattestSweep: return "reattest-sweep";

@@ -28,7 +28,8 @@ namespace rex::sim {
 
 /// Knobs of the per-edge WAN model. Inert at the defaults (enabled ==
 /// false): every edge then shares CostParams::link_latency_s /
-/// bandwidth_bytes_per_s and no sender queueing is applied.
+/// bandwidth_bytes_per_s and no sender queueing is applied. Enabled, every
+/// sender serializes its envelopes through its TxQueue.
 struct LinkParams {
   /// Master switch. Off = homogeneous LAN (the paper's testbed).
   bool enabled = false;
@@ -48,12 +49,6 @@ struct LinkParams {
   double bandwidth_lognormal_sigma = 0.5;
   /// Floor applied after the bandwidth draw (keeps tx times finite).
   double min_bandwidth_bytes_per_s = 1.25e6;  // 10 Mbps
-  /// Serialize each sender's wire occupancy: a node sharing to k neighbors
-  /// transmits the k envelopes back to back (sum of tx times). When false,
-  /// every envelope still pays its own transmission time but they overlap
-  /// (max of tx times) — the parallel-uplink ablation the queueing is
-  /// measured against. Only honored while `enabled`.
-  bool sender_queueing = true;
 };
 
 /// Named WAN presets for the bench `--wan <profile>` flag. Throws on an
@@ -102,9 +97,6 @@ class LinkModel {
 
   /// True when per-edge values are in force (enabled, non-degenerate).
   [[nodiscard]] bool heterogeneous() const { return heterogeneous_; }
-  [[nodiscard]] bool sender_queueing() const {
-    return heterogeneous_ && params_.sender_queueing;
-  }
   [[nodiscard]] const LinkParams& params() const { return params_; }
 
   /// Undirected edges carrying per-edge values (0 when homogeneous).

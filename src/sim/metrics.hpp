@@ -1,6 +1,7 @@
 // Experiment metrics: the per-epoch aggregates the paper's figures chart.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,8 +52,20 @@ struct ExperimentResult {
 
   [[nodiscard]] bool empty() const { return rounds.empty(); }
 
+  /// Mean RMSE of the last record with the run's largest nodes_reporting.
+  /// Barrier, centralized and single-node runs report the same nodes every
+  /// epoch, so that is the last record; event-driven runs go on recording
+  /// the epochs fast nodes run ahead, and the last of those can cover a
+  /// handful of nodes.
   [[nodiscard]] double final_rmse() const {
-    return rounds.empty() ? 0.0 : rounds.back().mean_rmse;
+    std::size_t most = 0;
+    for (const RoundRecord& r : rounds) {
+      most = std::max(most, r.nodes_reporting);
+    }
+    for (auto r = rounds.rbegin(); r != rounds.rend(); ++r) {
+      if (r->nodes_reporting == most) return r->mean_rmse;
+    }
+    return 0.0;
   }
 
   [[nodiscard]] SimTime total_time() const {

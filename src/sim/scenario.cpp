@@ -475,21 +475,12 @@ void ScenarioHarness::finalize() {
     }
     if (all_healed) {
       ++ledger_checks_;
-      // Compare against the last record every node reported: event-driven
-      // runs keep recording the epochs fast nodes run ahead, and the last
-      // of those can cover a single node.
       const double first = result_.rounds.front().mean_rmse;
-      double last = first;
-      for (const RoundRecord& record : result_.rounds) {
-        if (record.nodes_reporting == engine_.node_count()) {
-          last = record.mean_rmse;
-        }
-      }
-      REX_REQUIRE(last <= first * schedule_.convergence_ratio,
+      const double last = result_.final_rmse();
+      REX_REQUIRE(last <= first,
                   "no convergence after heal: final mean RMSE " +
                       std::to_string(last) + " vs initial " +
-                      std::to_string(first) + " (ratio limit " +
-                      std::to_string(schedule_.convergence_ratio) + ")");
+                      std::to_string(first));
     }
   }
 }

@@ -106,12 +106,10 @@ struct FaultSchedule {
   /// Simulated-time cadence of the cross-node invariant sweep; 0 sweeps
   /// only at finalize.
   double check_interval_s = 0.0;
-  /// When true, finalize requires the mean RMSE of the last record every
-  /// node reported to have improved to `convergence_ratio` x the first
-  /// round's RMSE — but only if every fault window healed before the run
-  /// ended (convergence *after* heal).
+  /// When true, finalize requires the run's final_rmse() to be no worse
+  /// than the first round's RMSE — but only if every fault window healed
+  /// before the run ended (convergence *after* heal).
   bool require_convergence = true;
-  double convergence_ratio = 1.0;
 
   [[nodiscard]] bool enabled() const { return !faults.empty(); }
   [[nodiscard]] bool has(FaultKind kind) const;

@@ -137,9 +137,10 @@ TEST(TxQueue, SimultaneousSharesSerializeToSumNotMax) {
 
 TEST(LinkModel, MatchedWanProfileReproducesHomogeneousRunExactly) {
   // A degenerate enabled profile (one region, zero sigmas, base latency ==
-  // the global default, infinite bandwidth so per-edge transmission is
-  // exactly zero, queueing off) must reproduce the homogeneous run bit for
-  // bit — the enabled code path may not change the arithmetic.
+  // the global default, infinite bandwidth so per-edge transmission — and
+  // with it the sender's queueing — is exactly zero) must reproduce the
+  // homogeneous run bit for bit: the enabled code path may not change the
+  // arithmetic.
   Scenario plain = wan_scenario();
   plain.costs.wan = LinkParams{};
   plain.engine_mode = EngineMode::kEventDriven;
@@ -154,7 +155,6 @@ TEST(LinkModel, MatchedWanProfileReproducesHomogeneousRunExactly) {
       std::numeric_limits<double>::infinity();
   matched.costs.wan.bandwidth_lognormal_sigma = 0.0;
   matched.costs.wan.min_bandwidth_bytes_per_s = 1.0;
-  matched.costs.wan.sender_queueing = false;
 
   expect_identical(run_scenario(plain), run_scenario(matched));
 
@@ -192,20 +192,9 @@ TEST(LinkModel, WanQueueingSlowsCompletionAndRecordsEdgeTraffic) {
   Simulator lan_sim = make_scenario_simulator(lan, li);
   lan_sim.run(lan.epochs);
 
-  // Same WAN links with the parallel uplink (queueing off): envelopes
-  // overlap instead of serializing, so the run completes no later.
-  Scenario par = wan_scenario();
-  par.costs.wan.sender_queueing = false;
-  par.engine_mode = EngineMode::kEventDriven;
-  ScenarioInputs pi;
-  Simulator par_sim = make_scenario_simulator(par, pi);
-  par_sim.run(par.epochs);
-
-  // WAN edges are orders of magnitude slower than the homogeneous LAN, and
-  // serialized uplinks slower still than parallel ones.
+  // WAN edges (queued on each sender's uplink) are orders of magnitude
+  // slower than the homogeneous LAN.
   EXPECT_GT(wan_sim.engine().now().seconds, lan_sim.engine().now().seconds);
-  EXPECT_GT(par_sim.engine().now().seconds, lan_sim.engine().now().seconds);
-  EXPECT_GE(wan_sim.engine().now().seconds, par_sim.engine().now().seconds);
 
   // Every delivery was accounted on some edge, with positive delays.
   std::uint64_t deliveries = 0;

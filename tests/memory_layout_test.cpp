@@ -254,7 +254,6 @@ TEST(MfUserRows, OnDemandBytesIndependentOfWriteOrder) {
   }
   EXPECT_EQ(forward.serialize(), backward.serialize());
   EXPECT_EQ(forward.serialize_quantized(), backward.serialize_quantized());
-  EXPECT_EQ(forward.serialize_sliced(3, 1), backward.serialize_sliced(3, 1));
 }
 
 TEST(MfUserRows, UnmaterializedReadsMatchMaterializedValues) {
@@ -275,9 +274,9 @@ TEST(MfUserRows, UnmaterializedReadsMatchMaterializedValues) {
 }
 
 TEST(MfUserRows, WireFormatsRoundTripThroughAnOnDemandPeer) {
-  // A model with a few trained rows: its exact, quantized and sliced
-  // encodings must round-trip byte-identically through a peer that has
-  // materialized nothing yet.
+  // A model with a few trained rows: its exact and quantized encodings
+  // must round-trip byte-identically through a peer that has materialized
+  // nothing yet.
   Rng rng(5);
   ml::MfModel model(on_demand_config(), rng);
   model.sgd_step({3, 1, 4.0f});
@@ -304,14 +303,6 @@ TEST(MfUserRows, WireFormatsRoundTripThroughAnOnDemandPeer) {
     // codes, so their re-encodings agree with each other.
     EXPECT_EQ(peer.serialize_quantized(), other.serialize_quantized());
     EXPECT_EQ(peer.serialize(), other.serialize());
-  }
-
-  const Bytes sliced = model.serialize_sliced(2, 0);
-  {
-    Rng peer_rng(15);
-    ml::MfModel peer(on_demand_config(), peer_rng);
-    peer.deserialize(sliced);
-    EXPECT_EQ(peer.serialize_sliced(2, 0), sliced);
   }
 }
 

@@ -253,60 +253,6 @@ TEST(Mf, QuantizedRoundTripWithinStep) {
   }
 }
 
-TEST(Mf, SlicedRoundTripRestoresSliceRowsOnly) {
-  const data::Dataset d = small_dataset();
-  Rng rng(64);
-  MfModel model(mf_config(d), rng);
-  Rng train_rng(65);
-  model.train_epoch(d.ratings, train_rng);
-
-  constexpr std::uint32_t kSlices = 3;
-  std::size_t sliced_bytes = 0;
-  for (std::uint32_t index = 0; index < kSlices; ++index) {
-    const Bytes blob = model.serialize_sliced(kSlices, index);
-    sliced_bytes += blob.size();
-    Rng rng2(66 + index);
-    MfModel restored(mf_config(d), rng2);
-    restored.deserialize(blob);
-    for (data::UserId u = 0; u < d.n_users; ++u) {
-      if (u % kSlices == index) {
-        EXPECT_EQ(restored.has_seen_user(u), model.has_seen_user(u)) << u;
-      } else {
-        // Non-slice rows must not participate in merges.
-        EXPECT_FALSE(restored.has_seen_user(u)) << u;
-      }
-    }
-    for (data::ItemId i = 0; i < d.n_items; ++i) {
-      if (i % kSlices == index) {
-        EXPECT_EQ(restored.has_seen_item(i), model.has_seen_item(i)) << i;
-      } else {
-        EXPECT_FALSE(restored.has_seen_item(i)) << i;
-      }
-    }
-    // Slice rows travel as exact f32: predictions built purely from slice
-    // rows must be bit-identical to the source model's.
-    for (data::UserId u = index; u < d.n_users; u += kSlices) {
-      for (data::ItemId i = index; i < d.n_items; i += 7 * kSlices) {
-        EXPECT_EQ(restored.predict(u, i), model.predict(u, i))
-            << u << "," << i;
-      }
-    }
-  }
-  // The k slices together carry every row once plus k headers: total wire
-  // cost stays close to one full model.
-  EXPECT_LT(sliced_bytes, model.wire_size() + kSlices * 64);
-}
-
-TEST(Mf, SlicedSpecValidation) {
-  const data::Dataset d = small_dataset();
-  Rng rng(67);
-  MfModel model(mf_config(d), rng);
-  EXPECT_THROW(model.serialize_sliced(0, 0), Error);
-  EXPECT_THROW(model.serialize_sliced(4, 4), Error);
-  // Slice 0 of 1 degenerates to the exact full encoding.
-  EXPECT_EQ(model.serialize_sliced(1, 0), model.serialize());
-}
-
 TEST(Mf, MergeAveragesSeenRows) {
   const data::Dataset d = small_dataset();
   Rng rng(9);

@@ -90,6 +90,45 @@ TEST(Simulator, RunsAndConverges) {
   }
 }
 
+RoundRecord reporting_record(std::size_t nodes, double rmse) {
+  RoundRecord record;
+  record.nodes_reporting = nodes;
+  record.mean_rmse = rmse;
+  return record;
+}
+
+TEST(Simulator, FinalRmseSkipsRecordsOfNodesThatRanAhead) {
+  // Hand-built: the last records cover fewer nodes than the run has.
+  ExperimentResult result;
+  for (const RoundRecord& record :
+       {reporting_record(4, 0.9), reporting_record(4, 0.7),
+        reporting_record(3, 0.65), reporting_record(1, 0.95)}) {
+    result.rounds.push_back(record);
+  }
+  EXPECT_EQ(result.final_rmse(), 0.7);
+  result.rounds.push_back(reporting_record(4, 0.6));
+  EXPECT_EQ(result.final_rmse(), 0.6);  // a full last record is the answer
+  EXPECT_EQ(ExperimentResult{}.final_rmse(), 0.0);
+
+  // Event-driven stragglers: fast nodes record epochs beyond the slowest
+  // node's, so the last record covers only some of the nodes.
+  Scenario s = tiny_scenario();
+  s.epochs = 8;
+  s.engine_mode = EngineMode::kEventDriven;
+  s.dynamics.speed_lognormal_sigma = 0.5;
+  s.dynamics.straggler_probability = 0.2;
+  const ExperimentResult run = run_scenario(s);
+  const std::size_t nodes = s.dataset.n_users;
+  ASSERT_LT(run.rounds.back().nodes_reporting, nodes);
+  double last_full = -1.0;
+  for (const RoundRecord& record : run.rounds) {
+    if (record.nodes_reporting == nodes) last_full = record.mean_rmse;
+  }
+  ASSERT_GE(last_full, 0.0);
+  EXPECT_EQ(run.final_rmse(), last_full);
+  EXPECT_NE(run.final_rmse(), run.rounds.back().mean_rmse);
+}
+
 TEST(Simulator, DeterministicAcrossRuns) {
   const ExperimentResult a = run_scenario(tiny_scenario());
   const ExperimentResult b = run_scenario(tiny_scenario());
