@@ -609,7 +609,7 @@ int run_churn_showcase(const rex::bench::Options& options) {
     if (threads == 1) {
       reference = simulator.result();
       std::uint64_t rejoins = 0, completed = 0, timeouts = 0, elided = 0,
-                    deferred = 0, dropped = 0;
+                    dropped = 0;
       double latency_sum = 0.0;
       for (core::NodeId id = 0; id < simulator.node_count(); ++id) {
         const auto& status = simulator.engine().node_status(id);
@@ -617,7 +617,6 @@ int run_churn_showcase(const rex::bench::Options& options) {
         completed += status.rejoins_completed;
         timeouts += status.rejoin_timeouts;
         elided += status.deliveries_elided;
-        deferred += status.deliveries_deferred;
         dropped += status.deliveries_dropped;
         latency_sum += status.rejoin_latency_sum_s;
       }
@@ -634,11 +633,9 @@ int run_churn_showcase(const rex::bench::Options& options) {
                   completed > 0
                       ? latency_sum / static_cast<double>(completed) * 1e3
                       : 0.0);
-      std::printf("  deliveries: %llu dropped in flight, %llu elided, %llu "
-                  "deferred\n",
+      std::printf("  deliveries: %llu dropped in flight, %llu elided\n",
                   static_cast<unsigned long long>(dropped),
-                  static_cast<unsigned long long>(elided),
-                  static_cast<unsigned long long>(deferred));
+                  static_cast<unsigned long long>(elided));
       // Wire totals of the whole resync plane (pull requests + model
       // replies), not just model blobs.
       std::printf("  resync traffic: %s released, %s delivered, %s lost\n",

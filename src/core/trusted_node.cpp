@@ -58,13 +58,20 @@ void TrustedNode::start_attestation(const std::vector<NodeId>& neighbors) {
   }
   // Each unordered pair handshakes once; the lower id initiates.
   for (NodeId peer : neighbors_) {
-    if (id_ < peer) {
-      const serialize::Json challenge = session(peer).initiate();
-      Bytes blob = to_bytes(challenge.dump());
-      runtime_.record_ocall(blob.size());
-      send_(peer, net::MessageKind::kAttestation, std::move(blob));
-    }
+    if (id_ < peer) send_attestation(peer, session(peer).initiate());
   }
+}
+
+void TrustedNode::send_attestation(NodeId peer,
+                                   const serialize::Json& message) {
+  Bytes blob = to_bytes(message.dump());
+  runtime_.record_ocall(blob.size());
+  send_(peer, net::MessageKind::kAttestation, std::move(blob));
+}
+
+void TrustedNode::restart_handshake(NodeId peer) {
+  replace_session(peer);
+  send_attestation(peer, session(peer).initiate());
 }
 
 void TrustedNode::on_attestation_message(NodeId src, BytesView blob) {
@@ -94,11 +101,7 @@ void TrustedNode::on_attestation_message(NodeId src, BytesView blob) {
       sess.state() != enclave::AttestationState::kAttested) {
     ++quote_forgeries_rejected_;
   }
-  if (reply.has_value()) {
-    Bytes out = to_bytes(reply->dump());
-    runtime_.record_ocall(out.size());
-    send_(src, net::MessageKind::kAttestation, std::move(out));
-  }
+  if (reply.has_value()) send_attestation(src, *reply);
   // Rejoin: the moment a pair re-attests, pull the peer's current state.
   if (rejoining_ && sess.attested()) {
     maybe_send_resync_request(src);
@@ -163,33 +166,22 @@ bool TrustedNode::split_frame(BytesView blob, std::uint64_t& seq,
 void TrustedNode::begin_rejoin(const std::vector<NodeId>& online_peers) {
   REX_REQUIRE(initialized_, "rejoin before ecall_init");
   runtime_.record_ecall(0);
-  ever_rejoined_ = true;
-  resync_pending_.clear();
   resync_awaited_ = 0;
   ++rejoin_gen_;
   rejoining_ = !online_peers.empty();
-  if (!rejoining_) return;  // full partition: nothing to resync against
-  if (runtime_.secure()) {
-    // Re-attest first; the resync pull follows per pair as it completes.
-    // The rejoiner initiates towards every online peer regardless of id
-    // order — it is the side whose enclave restarted (simultaneous rejoins
-    // still resolve deterministically inside AttestationSession).
-    resync_pending_.assign(online_peers.begin(), online_peers.end());
-    for (NodeId peer : online_peers) {
-      (void)neighbor_index(peer);  // only neighbors can be rejoin targets
-      replace_session(peer);
-      const serialize::Json challenge = session(peer).initiate();
-      Bytes blob = to_bytes(challenge.dump());
-      runtime_.record_ocall(blob.size());
-      send_(peer, net::MessageKind::kAttestation, std::move(blob));
-    }
-    return;
-  }
-  // Native runs have no sessions: pull state immediately.
+  // Empty on a full partition: nothing to resync against.
   resync_pending_.assign(online_peers.begin(), online_peers.end());
   for (NodeId peer : online_peers) {
-    (void)neighbor_index(peer);
-    maybe_send_resync_request(peer);
+    (void)neighbor_index(peer);  // only neighbors can be rejoin targets
+    if (runtime_.secure()) {
+      // Re-attest first; the resync pull follows per pair as it completes.
+      // The rejoiner initiates towards every online peer regardless of id
+      // order — it is the side whose enclave restarted (simultaneous
+      // rejoins still resolve deterministically inside AttestationSession).
+      restart_handshake(peer);
+    } else {
+      maybe_send_resync_request(peer);  // native: no sessions, pull now
+    }
   }
 }
 
@@ -339,11 +331,7 @@ void TrustedNode::heal_attestation(NodeId peer) {
   // the stale-key fallback for traffic in flight across the heal.
   (void)neighbor_index(peer);  // only neighbors hold sessions
   runtime_.record_ecall(0);
-  replace_session(peer);
-  const serialize::Json challenge = session(peer).initiate();
-  Bytes blob = to_bytes(challenge.dump());
-  runtime_.record_ocall(blob.size());
-  send_(peer, net::MessageKind::kAttestation, std::move(blob));
+  restart_handshake(peer);
 }
 
 bool TrustedNode::attested_with(NodeId peer) const {
@@ -543,10 +531,10 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
     // Pipelining is provably at most one round deep — a neighbor's round
     // k+2 share needs our round k+1 share, which needs us to consume its
     // round k — so a third buffered payload is a scheduling bug (and would
-    // grow enclave memory unboundedly). After a rejoin the cap relaxes:
-    // shares deferred across our outage are released on top of the live
-    // pipeline (DESIGN.md §6), legitimately stacking a couple deeper.
-    REX_REQUIRE(pending.inputs.size() < (ever_rejoined_ ? 4u : 2u),
+    // grow enclave memory unboundedly). Churn cannot stack them deeper:
+    // shares towards a node in an outage are elided, never held back
+    // (DESIGN.md §6 "Offline shares").
+    REX_REQUIRE(pending.inputs.size() < 2u,
                 "D-PSGD neighbor more than one round ahead: scheduling bug");
   }
   pending.watermark = static_cast<std::int64_t>(input.payload.epoch);

@@ -241,6 +241,10 @@ class TrustedNode {
   /// attested session's key (+ receive position) as the stale-key fallback
   /// for traffic that was in flight across the re-attestation.
   void replace_session(NodeId peer);
+  /// Sends one attestation handshake message to `peer` (one ocall).
+  void send_attestation(NodeId peer, const serialize::Json& message);
+  /// replace_session + a fresh challenge to `peer` (rejoin and heal).
+  void restart_handshake(NodeId peer);
   /// Sends the resync pull to `peer` if it is still owed one (rejoin).
   void maybe_send_resync_request(NodeId peer);
   /// Encrypts (secure mode) and sends one resync payload to `peer`.
@@ -301,10 +305,6 @@ class TrustedNode {
   /// reply, so a reply that outlived its rejoin (watchdog fired, another
   /// outage and rejoin happened) cannot complete the newer rejoin.
   std::uint64_t rejoin_gen_ = 0;
-  /// Once a node has ever rejoined, the D-PSGD per-neighbor buffer cap is
-  /// relaxed from 2 to 4: deferred shares released at the rejoin can stack
-  /// on top of the live pipeline.
-  bool ever_rejoined_ = false;
   std::uint64_t resync_model_bytes_sent_ = 0;
   std::uint64_t resync_models_merged_ = 0;
   std::uint64_t shares_skipped_unattested_ = 0;

@@ -24,8 +24,8 @@ enum class MessageKind : std::uint8_t {
   /// Rejoin state-resync exchange (DESIGN.md §6): a returning node's model
   /// pull request and the neighbor's model reply. A distinct header kind —
   /// not a payload kind — so the event engine can route resync traffic on
-  /// the control path (released immediately, never deferred to an offline
-  /// peer) without decrypting anything.
+  /// the control path (released immediately, not at the end of the share
+  /// stage) without decrypting anything.
   kResync = 2,
 };
 
@@ -34,9 +34,6 @@ struct Envelope {
   NodeId dst = 0;
   MessageKind kind = MessageKind::kProtocol;
   SharedBytes payload;
-  /// Transport bookkeeping (not on the wire): routing order stamp used to
-  /// merge sharded inboxes back into deterministic delivery order.
-  std::uint64_t arrival = 0;
   /// Simulated delivery timestamps (not on the wire), stamped by the event
   /// engine when the envelope is released per edge: transmission end on the
   /// sender's uplink and arrival at the destination (the engine checks each
@@ -52,6 +49,10 @@ struct Envelope {
   /// still occupied the links it crossed before vanishing. Zero (kNone) on
   /// every envelope when no harness is installed.
   std::uint8_t fault = 0;
+  /// Event-engine bookkeeping (not on the wire): set when the engine drops
+  /// the envelope at its delivery (harness loss, receiver offline), so the
+  /// serial phase's accounting sees the math phase's decision.
+  bool dropped = false;
 
   /// Bytes on the wire: payload plus the fixed header.
   [[nodiscard]] std::size_t wire_size() const {

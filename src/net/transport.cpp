@@ -1,24 +1,34 @@
 #include "net/transport.hpp"
 
+#include <iterator>
+
 #include "support/error.hpp"
 
 namespace rex::net {
+
+namespace {
+/// Moves every envelope of `mailbox` onto the end of `out`, in order, and
+/// clears the mailbox without releasing its capacity.
+void take_all(std::vector<Envelope>& mailbox, std::vector<Envelope>& out) {
+  out.insert(out.end(), std::make_move_iterator(mailbox.begin()),
+             std::make_move_iterator(mailbox.end()));
+  mailbox.clear();
+}
+}  // namespace
 
 Transport::Transport(std::size_t node_count)
     : outboxes_(node_count), inboxes_(node_count), traffic_(node_count) {}
 
 void Transport::flush_round() {
-  // Sender-major routing: each destination shard receives envelopes in
-  // nondecreasing sender order, which drain_inbox() relies on to merge the
-  // shards back into the global (sender id, send order) sequence.
-  for (EnvelopeFifo& outbox : outboxes_) {
-    while (!outbox.empty()) {
-      Envelope env = outbox.pop_front();
+  // Sender-major routing: each inbox receives its envelopes in (sender id,
+  // send order) sequence, appended after anything an earlier flush left.
+  for (std::vector<Envelope>& outbox : outboxes_) {
+    for (Envelope& env : outbox) {
       record_send(env);
       record_delivery(env);
-      env.arrival = next_arrival_++;
-      inboxes_[env.dst][env.src % kInboxShards].push_back(std::move(env));
+      inboxes_[env.dst].push_back(std::move(env));
     }
+    outbox.clear();
   }
 }
 
@@ -30,32 +40,13 @@ std::vector<Envelope> Transport::drain_inbox(NodeId node) {
 
 void Transport::drain_inbox(NodeId node, std::vector<Envelope>& out) {
   check_node(node);
-  InboxShards& shards = inboxes_[node];
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
   out.clear();
-  out.reserve(total);
-  // K-way merge on the routing stamp: each shard is FIFO (stamps increase),
-  // so repeatedly taking the smallest front stamp reproduces the exact
-  // routing order — (flush batch, sender id, send order).
-  while (out.size() < total) {
-    std::size_t best = kInboxShards;
-    for (std::size_t s = 0; s < kInboxShards; ++s) {
-      if (shards[s].empty()) continue;
-      if (best == kInboxShards ||
-          shards[s].front().arrival < shards[best].front().arrival) {
-        best = s;
-      }
-    }
-    out.push_back(shards[best].pop_front());
-  }
+  take_all(inboxes_[node], out);
 }
 
 std::size_t Transport::inbox_size(NodeId node) const {
   check_node(node);
-  std::size_t total = 0;
-  for (const auto& shard : inboxes_[node]) total += shard.size();
-  return total;
+  return inboxes_[node].size();
 }
 
 std::vector<Envelope> Transport::take_outbox(NodeId src) {
@@ -66,11 +57,7 @@ std::vector<Envelope> Transport::take_outbox(NodeId src) {
 
 void Transport::take_outbox(NodeId src, std::vector<Envelope>& out) {
   check_node(src);
-  EnvelopeFifo& outbox = outboxes_[src];
-  out.reserve(out.size() + outbox.size());
-  while (!outbox.empty()) {
-    out.push_back(outbox.pop_front());
-  }
+  take_all(outboxes_[src], out);
 }
 
 std::uint64_t Transport::total_bytes_sent() const {

@@ -1,15 +1,15 @@
-// In-process transport with per-node traffic accounting, sharded mailboxes,
-// and two delivery disciplines.
+// In-process transport with per-node traffic accounting, one inbox per
+// destination, and two delivery disciplines.
 //
 // Sends always go to per-sender outboxes (no contention under node-parallel
 // execution; a single sender never sends concurrently with itself). From
 // there, two paths drain them:
 //
 //   Barrier path (synchronous rounds, attestation): flush_round() routes
-//   every queued send into the destination's inbox shards in deterministic
-//   (sender id, send order) sequence and accounts traffic for both ends;
-//   drain_inbox() merges the shards back into that order, *moving* the
-//   envelopes out.
+//   every queued send into its destination's inbox sender by sender, so an
+//   inbox holds its envelopes in (flush, sender id, send order) sequence,
+//   and accounts traffic for both ends; drain_inbox() *moves* them out in
+//   that order.
 //
 //   Event path (sim::SimEngine): take_outbox(src) moves a sender's queued
 //   envelopes out (accounting the send side); the engine schedules one
@@ -17,46 +17,16 @@
 //   record_delivery() at the delivery timestamp. Envelopes never touch the
 //   inboxes on this path — the engine hands them straight to the host.
 //
-// Inboxes are sharded by sender id modulo kInboxShards — groundwork for
-// concurrent per-edge delivery (senders mapping to distinct shards of one
-// destination could deliver in parallel). Today every writer is serialized
-// per destination: flush_round() is single-threaded and the engine hands
-// event-path envelopes straight to hosts, so the shards carry no locks;
-// the per-envelope arrival stamp keeps drained order deterministic.
+// flush_round() is the only writer of the inboxes and runs single-threaded,
+// so the mailboxes carry no locks.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "net/message.hpp"
 #include "support/error.hpp"
 
 namespace rex::net {
-
-/// Recycled FIFO mailbox: a vector plus a head cursor. Every mailbox in the
-/// simulator fully drains between fills (outboxes at the flush/take, inbox
-/// shards at the barrier drain), so popping the last element resets the
-/// cursor and keeps the storage — steady state is allocation-free, and an
-/// *idle* mailbox owns no heap at all (a node-count-sized deque array costs
-/// ~600 B per empty deque in block bookkeeping; at 100k nodes that is real
-/// memory). DESIGN.md §10.
-struct EnvelopeFifo {
-  std::vector<Envelope> items;
-  std::size_t head = 0;
-
-  [[nodiscard]] bool empty() const { return head == items.size(); }
-  [[nodiscard]] std::size_t size() const { return items.size() - head; }
-  [[nodiscard]] const Envelope& front() const { return items[head]; }
-  void push_back(Envelope env) { items.push_back(std::move(env)); }
-  [[nodiscard]] Envelope pop_front() {
-    Envelope env = std::move(items[head++]);
-    if (head == items.size()) {
-      items.clear();
-      head = 0;
-    }
-    return env;
-  }
-};
 
 /// Cumulative per-node traffic counters.
 struct TrafficStats {
@@ -72,9 +42,6 @@ struct TrafficStats {
 
 class Transport {
  public:
-  /// Inbox shards per destination, keyed by sender id modulo this.
-  static constexpr std::size_t kInboxShards = 8;
-
   explicit Transport(std::size_t node_count);
 
   [[nodiscard]] std::size_t node_count() const { return outboxes_.size(); }
@@ -94,14 +61,14 @@ class Transport {
 
   // ===== Barrier path =====
 
-  /// Routes all queued sends into destination inbox shards. Call at the
-  /// round barrier only (single-threaded). Accounts sender and receiver
-  /// traffic in the current epoch window.
+  /// Routes all queued sends into destination inboxes, sender by sender.
+  /// Call at the round barrier only (single-threaded). Accounts sender and
+  /// receiver traffic in the current epoch window.
   void flush_round();
 
-  /// Removes and returns everything deliverable to `node`, merged across
-  /// shards back into (sender id, send order) sequence. Moves the
-  /// envelopes — payloads are not copied.
+  /// Removes and returns everything deliverable to `node` in (flush,
+  /// sender id, send order) sequence. Moves the envelopes — payloads are
+  /// not copied.
   [[nodiscard]] std::vector<Envelope> drain_inbox(NodeId node);
 
   /// Allocation-free variant: drains into `out` (cleared first), so the
@@ -183,8 +150,6 @@ class Transport {
     REX_REQUIRE(node < outboxes_.size(), "transport node id out of range");
   }
 
-  using InboxShards = std::array<EnvelopeFifo, kInboxShards>;
-
   /// Cumulative + per-epoch counters for one node, kept adjacent so one
   /// accounting update touches a single cache line (at 10k nodes every
   /// delivery hits a random node's counters; two parallel vectors cost two
@@ -199,10 +164,12 @@ class Transport {
   /// release payload storage back into this pool on destruction, so the
   /// pool must be destroyed last (members destruct in reverse order).
   BufferPool payload_pool_;
-  std::vector<EnvelopeFifo> outboxes_;  // indexed by sender
-  std::vector<InboxShards> inboxes_;    // indexed by receiver
-  std::vector<NodeTraffic> traffic_;            // indexed by node
-  std::uint64_t next_arrival_ = 0;  // routing order stamp (flush_round only)
+  /// Mailboxes drain completely between fills and are cleared, not
+  /// shrunk, so steady state is allocation-free and an idle mailbox owns no
+  /// heap (DESIGN.md §10).
+  std::vector<std::vector<Envelope>> outboxes_;  // indexed by sender
+  std::vector<std::vector<Envelope>> inboxes_;   // indexed by receiver
+  std::vector<NodeTraffic> traffic_;             // indexed by node
 };
 
 }  // namespace rex::net

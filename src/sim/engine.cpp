@@ -12,16 +12,6 @@
 namespace rex::sim {
 
 namespace {
-/// Event-path reuse of Envelope::arrival (unused off the barrier path): the
-/// math phase records whether a delivery was dropped to churn so the serial
-/// phase's resync accounting sees the same decision — recomputing it there
-/// could disagree when a kChurnUp hook in the same batch already flipped
-/// the node's online flag.
-constexpr std::uint64_t kArrivalDelivered = 0;
-constexpr std::uint64_t kArrivalDropped = 1;
-}  // namespace
-
-namespace {
 /// Calendar-queue shard count for a node population: one shard per ~16k
 /// nodes, capped at 8. Pop order is provably identical at any shard count
 /// (seq keys are unique, pop is argmin over shard tops), so this only
@@ -52,12 +42,8 @@ SimEngine::SimEngine(const core::RexConfig& rex, const graph::Graph& topology,
   REX_REQUIRE(topology_.node_count() == n, "topology/hosts size mismatch");
   nodes_.resize(n);
   online_count_ = n;
-  if (links_.heterogeneous()) {
-    edge_traffic_.resize(links_.edge_count());
-    pair_deliver_horizon_.resize(2 * links_.edge_count());
-  }
+  if (links_.heterogeneous()) edge_traffic_.resize(links_.edge_count());
   group_refs_.assign(n, GroupRef{});
-  deferred_held_.resize(n);
   jitter_rngs_.reserve(n);
   Rng master(config_.seed ^ 0x0E7E27D21FE27ULL);  // independent jitter seed
   for (std::size_t id = 0; id < n; ++id) {
@@ -379,15 +365,16 @@ net::Envelope* SimEngine::prepare_delivery(const Event& event) {
     // Harness-injected loss (DESIGN.md §8): the envelope crossed the wire
     // (paying the sender's uplink and the edge) but vanishes here. Not a
     // churn drop — the fault ledger, not deliveries_dropped, accounts it.
-    env.arrival = kArrivalDropped;
+    env.dropped = true;
     return nullptr;
   }
+  // Recorded on the envelope, not recomputed in the serial phase: a
+  // kChurnUp hook in the same batch may already have flipped `online`.
   if (!status.online && event.time >= status.offline_since) {
     ++status.deliveries_dropped;  // lost to churn
-    env.arrival = kArrivalDropped;
+    env.dropped = true;
     return nullptr;
   }
-  env.arrival = kArrivalDelivered;
   transport_.record_delivery(env);
   return &env;
 }
@@ -437,14 +424,14 @@ void SimEngine::serial_event_hook(const Event& event) {
     case EventKind::kDeliver: {
       net::Envelope& env = delivery_slots_[event.slot];
       if (harness_ != nullptr && env.fault != FaultTag::kNone) {
-        harness_->on_fault_settled(env, env.arrival == kArrivalDelivered);
+        harness_->on_fault_settled(env, !env.dropped);
       }
       if (env.kind == net::MessageKind::kResync) {
         // Resync conservation (DESIGN.md §6): every released byte lands
         // here — delivered or dropped to the receiver churning again.
         const std::uint64_t wire = env.wire_size();
         resync_totals_.in_flight_bytes -= wire;
-        if (env.arrival == kArrivalDropped) {
+        if (env.dropped) {
           resync_totals_.dropped_bytes += wire;
         } else {
           resync_totals_.rx_bytes += wire;
@@ -489,15 +476,6 @@ void SimEngine::serial_event_hook(const Event& event) {
       NodeStatus& status = nodes_[event.node];
       status.online = true;
       ++online_count_;
-      // Shares deferred across the outage hit the wire now, through the
-      // sender's live uplink (DESIGN.md §6 "Offline shares") — the release
-      // a real deployment would trigger off the rejoin challenge.
-      if (!deferred_held_[event.node].empty()) {
-        for (net::Envelope& held : deferred_held_[event.node]) {
-          release_envelope(std::move(held), event.time);
-        }
-        deferred_held_[event.node].clear();
-      }
       ++status.rejoins;
       // Rejoin protocol (DESIGN.md §6): re-attest with the online
       // neighbors and pull their current model state before training
@@ -561,28 +539,19 @@ void SimEngine::release_envelope(net::Envelope env, SimTime release) {
     // Adversarial filter (DESIGN.md §8): may tag the envelope lost, tamper
     // its ciphertext, stash it for replay, or queue injected copies —
     // drained below so they pay the same uplink as organic traffic.
-    // Already-faulted envelopes (injected copies, re-released deferred
-    // holds) pass through untouched.
+    // Already-faulted envelopes (injected copies) pass through untouched.
     harness_->on_release(env, release);
   }
   NodeStatus& dst = nodes_[env.dst];
-  const bool control = env.kind != net::MessageKind::kProtocol;
   if (!dst.online && release >= dst.offline_since) {
-    // The sender knows the peer is down (its outage has begun). Control
-    // traffic to it is pointless — the peer re-initiates when it returns.
-    if (control || config_.dynamics.offline_shares == OfflinePolicy::kDrop) {
-      if (harness_ != nullptr && env.fault != FaultTag::kNone) {
-        harness_->on_fault_elided(env);
-      }
-      ++dst.deliveries_elided;  // never transmitted: no uplink accounting
-      return;                   // payload reference drops with env
+    // The sender knows the peer is down (its outage has begun): shares and
+    // control traffic alike are elided — the peer re-initiates when it
+    // returns (DESIGN.md §6 "Offline shares").
+    if (harness_ != nullptr && env.fault != FaultTag::kNone) {
+      harness_->on_fault_elided(env);
     }
-    // Defer: hold at the sender, re-released through this function when the
-    // peer's outage ends (kChurnUp) — so deferred bytes pay the sender's
-    // then-current live uplink, not a phantom queue (DESIGN.md §6).
-    ++dst.deliveries_deferred;
-    deferred_held_[env.dst].push_back(std::move(env));
-    return;
+    ++dst.deliveries_elided;  // never transmitted: no uplink accounting
+    return;                   // payload reference drops with env
   }
   transport_.record_send(env);  // the envelope actually hits the wire
   SimTime sent = release;
@@ -592,17 +561,11 @@ void SimEngine::release_envelope(net::Envelope env, SimTime release) {
     const SimTime tx{static_cast<double>(env.wire_size()) /
                      links_.edge_bandwidth_bytes_per_s(e)};
     // Transmissions serialize on the sender's uplink (sum of tx times),
-    // data shares and control traffic alike: they share one wire.
+    // data shares and control traffic alike: they share one wire. Releases
+    // come in event-time order and the edge latency is fixed, so a pair's
+    // deliveries keep their release order (ties schedule by seq).
     sent = nodes_[env.src].tx.transmit(release, tx);
     deliver_at = sent + SimTime{links_.edge_latency_s(e)};
-    // FIFO channel per directed pair: a later release never arrives before
-    // an earlier one (size-dependent tx times and deferred releases could
-    // otherwise reorder a pair's epochs into the receiver's watermark).
-    // Ties are fine — the later release schedules with a higher seq.
-    SimTime& horizon =
-        pair_deliver_horizon_[2 * e + (env.src < env.dst ? 0 : 1)];
-    deliver_at = std::max(deliver_at, horizon);
-    horizon = deliver_at;
     EdgeTraffic& edge = edge_traffic_[e];
     ++edge.deliveries;
     edge.bytes += env.wire_size();
@@ -885,7 +848,6 @@ void SimEngine::post_epoch(core::NodeId id, SimTime start) {
     status.offline_since = end;
     const double u = jitter_rngs_[id].uniform01();
     const SimTime downtime{-std::log(1.0 - u) * dyn.churn_downtime_s};
-    status.back_online_at = end + downtime;
     // The node computes nothing during the outage: an epoch triggered by a
     // delivery that slipped in before the outage is placed after recovery
     // (its math already ran, but its simulated start, shares and record

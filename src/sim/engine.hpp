@@ -34,7 +34,10 @@
 // profile (CostParams::wan) each delivery pays its edge's drawn latency and
 // the sender serializes the envelope through its per-node TxQueue — a
 // share to k neighbors occupies the uplink for the sum of the k
-// transmission times (DESIGN.md §5). Per-edge delivery counters feed
+// transmission times (DESIGN.md §5). Every release happens at the current
+// event time, a TxQueue only moves forward and an edge's latency is fixed,
+// so each directed pair's deliveries arrive in release order — the FIFO
+// the receiver's watermark requires. Per-edge delivery counters feed
 // report.cpp's write_edge_csv.
 //
 // Determinism: all event processing at one timestamp is split into a
@@ -87,20 +90,6 @@ enum class EngineMode {
   kEventDriven,  // per-node timelines over the event queue
 };
 
-/// What the event engine does with a data share released towards a peer it
-/// knows to be offline (DESIGN.md §6 "Offline shares"). Control traffic
-/// (attestation handshakes, resync) to an offline peer is always elided —
-/// a handshake with a dead peer is pointless, and the rejoiner will
-/// re-initiate when it returns.
-enum class OfflinePolicy : std::uint8_t {
-  /// Elide at the sender: the envelope never transmits, the uplink bytes
-  /// are never accounted, and the destination counts a delivery elided.
-  kDrop,
-  /// Hold at the sender and transmit when the peer's outage ends (the
-  /// release the rejoin challenge would trigger in a real deployment).
-  kDefer,
-};
-
 /// Heterogeneity and failure knobs for event-driven runs (all inert at
 /// their defaults; the barrier engine honors the speed/straggler knobs when
 /// computing round times so barrier-vs-async comparisons are fair).
@@ -115,14 +104,12 @@ struct NodeDynamics {
   double straggler_lognormal_sigma = 1.0;
   /// Per-epoch probability that a node drops offline after finishing an
   /// epoch (event-driven runs only). In-flight deliveries to an offline
-  /// node are lost; shares released while it is known to be down follow
-  /// `offline_shares`; on return the node runs the rejoin protocol
-  /// (re-attestation + state resync, DESIGN.md §6) before training again.
+  /// node are lost; envelopes released while it is known to be down are
+  /// elided (DESIGN.md §6 "Offline shares"); on return the node runs the
+  /// rejoin protocol (re-attestation + state resync) before training again.
   double churn_probability = 0.0;
   /// Mean offline duration in simulated seconds (exponential).
   double churn_downtime_s = 0.0;
-  /// Policy for data shares released towards a known-offline peer.
-  OfflinePolicy offline_shares = OfflinePolicy::kDrop;
   /// Rejoin watchdog (simulated seconds): a returning node waits at most
   /// this long for its re-attestation + resync exchange (a contacted
   /// neighbor may churn away mid-handshake) before training resumes anyway.
@@ -187,9 +174,6 @@ class SimEngine {
     /// effect when the churning epoch *ends*, so deliveries that arrive
     /// while the node is still simulated-computing are not dropped.
     SimTime offline_since;
-    /// End of the current (or last) outage — known at draw time, used by
-    /// the defer policy to release held shares when the peer returns.
-    SimTime back_online_at;
     /// Watchdog generation: a kRejoinDeadline whose slot does not match is
     /// left over from a previous outage and ignored.
     std::uint32_t rejoin_gen = 0;
@@ -200,8 +184,7 @@ class SimEngine {
                                            // a rejoin still in progress
     std::uint64_t rejoin_timeouts = 0;     // rejoins force-completed
     std::uint64_t resync_bytes = 0;        // resync wire bytes received
-    std::uint64_t deliveries_elided = 0;   // shares never sent to this node
-    std::uint64_t deliveries_deferred = 0; // shares held until it returned
+    std::uint64_t deliveries_elided = 0;   // envelopes never sent to it
     /// Sum over completed rejoins of (completion - kChurnUp) — the
     /// re-attestation + resync latency; mean = sum / rejoins_completed.
     double rejoin_latency_sum_s = 0.0;
@@ -439,11 +422,10 @@ class SimEngine {
   void serial_event_hook(const Event& event);
   /// One record per epoch index any node reached.
   void finalize_async_records();
-  /// Releases one envelope onto the wire at `release` (per-edge tx through
-  /// the sender's uplink queue + latency) and schedules its kDeliver.
-  /// Applies the offline-shares policy when the destination is known to be
-  /// down: elide (no transmission, nothing accounted) or defer (transmit at
-  /// the peer's return). DESIGN.md §6.
+  /// Releases one envelope at `release`, in one straight line: harness
+  /// filter, elision when the destination's outage has begun (no
+  /// transmission, nothing accounted; DESIGN.md §6), per-edge tx through
+  /// the sender's uplink queue + latency, then its kDeliver.
   void release_envelope(net::Envelope env, SimTime release);
   /// Drains a node's outbox of control traffic (attestation, resync) and
   /// releases it at `now`. Only post_epoch may leave protocol shares in an
@@ -521,11 +503,6 @@ class SimEngine {
   /// harness hook site is gated on this so the benign fast path is
   /// unchanged).
   ScenarioHarness* harness_ = nullptr;
-  /// Shares held at the sender across the destination's outage
-  /// (offline_shares = kDefer), re-released through release_envelope at the
-  /// peer's kChurnUp so deferred bytes pay the sender's then-current live
-  /// uplink (DESIGN.md §6 "Offline shares").
-  std::vector<std::vector<net::Envelope>> deferred_held_;
   /// Re-attestation sweep grace ledger: pairs ((u<<32)|v, u<v) seen mid-
   /// handshake, keyed to the sweep that first saw them — healed only if
   /// still unattested one full sweep later (an in-flight handshake is not a
@@ -533,13 +510,6 @@ class SimEngine {
   std::map<std::uint64_t, std::uint64_t> pending_heal_;
   std::uint64_t reattest_sweeps_ = 0;
   std::uint64_t reattest_heals_ = 0;
-  /// Per-directed-pair delivery horizon (heterogeneous LinkModel only,
-  /// indexed 2*edge_id + direction): each link is a FIFO channel, so an
-  /// envelope's delivery is clamped to never precede an earlier release on
-  /// the same pair. Size-dependent transmission times (and deferred
-  /// releases) could otherwise reorder a pair's epochs and trip the
-  /// receiver's watermark (DESIGN.md §6).
-  std::vector<SimTime> pair_deliver_horizon_;
   std::vector<Rng> jitter_rngs_;        // one independent stream per node
   // ===== Serving state (DESIGN.md §9; all empty with the load off) =====
   QueryLoad query_load_;

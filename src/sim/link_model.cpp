@@ -170,11 +170,6 @@ double LinkModel::bandwidth(graph::NodeId u, graph::NodeId v) const {
   return edge_bandwidth_[slot_edge_[slot(u, v)]];
 }
 
-SimTime LinkModel::tx_time(graph::NodeId u, graph::NodeId v,
-                           std::size_t bytes) const {
-  return SimTime{static_cast<double>(bytes) / bandwidth(u, v)};
-}
-
 std::size_t LinkModel::edge_id(graph::NodeId u, graph::NodeId v) const {
   REX_REQUIRE(heterogeneous_, "edge ids exist only for heterogeneous models");
   return slot_edge_[slot(u, v)];

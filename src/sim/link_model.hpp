@@ -110,10 +110,6 @@ class LinkModel {
   /// Bandwidth of edge {u, v} in bytes/s (same contract as latency()).
   [[nodiscard]] double bandwidth(graph::NodeId u, graph::NodeId v) const;
 
-  /// Wire occupancy of `bytes` on edge {u, v}.
-  [[nodiscard]] SimTime tx_time(graph::NodeId u, graph::NodeId v,
-                                std::size_t bytes) const;
-
   /// Stable id of undirected edge {u, v} in [0, edge_count()); indexes the
   /// engine's per-edge delivery counters. Heterogeneous models only.
   [[nodiscard]] std::size_t edge_id(graph::NodeId u, graph::NodeId v) const;

@@ -39,9 +39,9 @@ void write_node_csv(const SimEngine& engine, const std::string& path,
   out << "node_id,epochs_done,epochs_folded,events_processed,"
          "deliveries_dropped,slowdown,online,rejoins,rejoin_timeouts,"
          "resync_bytes,mean_rejoin_latency_s,deliveries_elided,"
-         "deliveries_deferred,tampered_rejected,replays_rejected,"
-         "quote_forgeries_rejected,partitions_survived,queries_issued,"
-         "queries_served,queries_stale,queries_dropped_offline\n";
+         "tampered_rejected,replays_rejected,quote_forgeries_rejected,"
+         "partitions_survived,queries_issued,queries_served,queries_stale,"
+         "queries_dropped_offline\n";
   for (core::NodeId id = 0; id < engine.node_count();
        id = static_cast<core::NodeId>(id + sample)) {
     const SimEngine::NodeStatus& status = engine.node_status(id);
@@ -55,7 +55,7 @@ void write_node_csv(const SimEngine& engine, const std::string& path,
     std::snprintf(
         line, sizeof line,
         "%u,%llu,%llu,%llu,%llu,%.6f,%d,%llu,%llu,%llu,%.9f,%llu,"
-        "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
+        "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
         id, static_cast<unsigned long long>(status.epochs_done),
         static_cast<unsigned long long>(status.epochs_folded),
         static_cast<unsigned long long>(status.events_processed),
@@ -66,7 +66,6 @@ void write_node_csv(const SimEngine& engine, const std::string& path,
         static_cast<unsigned long long>(status.resync_bytes),
         mean_rejoin_latency,
         static_cast<unsigned long long>(status.deliveries_elided),
-        static_cast<unsigned long long>(status.deliveries_deferred),
         static_cast<unsigned long long>(trusted.tampered_rejected()),
         static_cast<unsigned long long>(trusted.replays_rejected()),
         static_cast<unsigned long long>(trusted.quote_forgeries_rejected()),

@@ -116,8 +116,8 @@ struct FaultSchedule {
 };
 
 /// Per-fault-class envelope accounting. Settlement is exhaustive for every
-/// envelope the engine retired; copies still held for a deferred offline
-/// peer at run end account for injected - (delivered + dropped + elided).
+/// envelope the engine retired; copies still in flight at run end account
+/// for injected - (delivered + dropped + elided).
 struct FaultLedger {
   std::uint64_t injected = 0;   // envelopes stamped with this tag
   std::uint64_t delivered = 0;  // reached prepare_delivery and delivered

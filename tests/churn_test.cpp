@@ -1,6 +1,6 @@
 // Churn rejoin protocol tests (DESIGN.md §6): thread-count determinism with
-// churn + rejoin enabled (both offline-share policies), golden identity
-// against the committed pre-rejoin dumps when churn is off, resync-byte
+// churn + rejoin enabled (LAN and geo WAN links), golden identity against
+// the committed pre-rejoin dumps when churn is off, resync-byte
 // conservation, secure-mode re-attestation, and partition tolerance (a
 // rejoiner whose neighbors are all down must terminate, not spin into the
 // runaway guard).
@@ -39,14 +39,13 @@ Scenario base_scenario() {
   return s;
 }
 
-Scenario churn_scenario(OfflinePolicy policy) {
+Scenario churn_scenario() {
   Scenario s = base_scenario();
   s.rex.algorithm = core::Algorithm::kRmw;
   s.engine_mode = EngineMode::kEventDriven;
   s.dynamics.speed_lognormal_sigma = 0.3;
   s.dynamics.churn_probability = 0.25;
   s.dynamics.churn_downtime_s = 0.001;
-  s.dynamics.offline_shares = policy;
   return s;
 }
 
@@ -83,29 +82,25 @@ void run_thread_determinism(Scenario scenario) {
   }
 }
 
-TEST(ChurnRejoin, DropPolicyIdenticalAcross1_2_8Threads) {
-  run_thread_determinism(churn_scenario(OfflinePolicy::kDrop));
+TEST(ChurnRejoin, IdenticalAcross1_2_8Threads) {
+  run_thread_determinism(churn_scenario());
 }
 
-TEST(ChurnRejoin, DeferPolicyIdenticalAcross1_2_8Threads) {
-  run_thread_determinism(churn_scenario(OfflinePolicy::kDefer));
-}
-
-TEST(ChurnRejoin, DeferOverWanLinksIdenticalAndPreservesPairFifo) {
-  // Heterogeneous links + defer: shares held across the outage re-release
-  // through the sender's then-current live TxQueue uplink at the peer's
-  // kChurnUp, and must not overtake each other within a (src, dst) pair —
-  // the receive watermark throws on out-of-order epochs, so this run
-  // completing at all pins the pair-FIFO delivery horizon, and the thread
-  // sweep pins its determinism.
-  Scenario s = churn_scenario(OfflinePolicy::kDefer);
+TEST(ChurnRejoin, WanLinksIdenticalAndPreservePairFifo) {
+  // Heterogeneous links: shares of different sizes serialize through the
+  // sender's TxQueue uplink and must not overtake each other within a
+  // (src, dst) pair — the receive watermark throws on out-of-order epochs,
+  // so this run completing at all pins the pair FIFO that release order,
+  // the queue and a fixed edge latency give, and the thread sweep pins its
+  // determinism.
+  Scenario s = churn_scenario();
   s.costs.wan = make_wan_profile("geo");
   s.epochs = 4;
   run_thread_determinism(s);
 }
 
 TEST(ChurnRejoin, SecureModeIdenticalAcross1_2_8Threads) {
-  Scenario s = churn_scenario(OfflinePolicy::kDrop);
+  Scenario s = churn_scenario();
   s.rex.security = enclave::SecurityMode::kSgxSimulated;
   s.epochs = 6;
   run_thread_determinism(s);
@@ -116,7 +111,7 @@ TEST(ChurnRejoin, LossFaultsPlusChurnIdenticalAcross1_2_8Threads) {
   // drops and harness drops account through different counters, and both
   // randomness streams run on the serial phase — the combination must stay
   // bit-identical across worker-thread counts.
-  Scenario s = churn_scenario(OfflinePolicy::kDefer);
+  Scenario s = churn_scenario();
   s.epochs = 6;
   s.faults.seed = 77;
   s.faults.faults.push_back(
@@ -127,7 +122,7 @@ TEST(ChurnRejoin, LossFaultsPlusChurnIdenticalAcross1_2_8Threads) {
 TEST(ChurnRejoin, LossFaultsPlusChurnDivergingRunFailsTheConvergenceGate) {
   // The same composition with an MF learning rate that blows the RMSE up:
   // the harness's post-heal convergence gate must reject the run.
-  Scenario s = churn_scenario(OfflinePolicy::kDefer);
+  Scenario s = churn_scenario();
   s.epochs = 6;
   s.mf_learning_rate = 2.0f;
   s.faults.seed = 77;
@@ -146,7 +141,7 @@ TEST(ChurnRejoin, LossFaultsPlusChurnDivergingRunFailsTheConvergenceGate) {
 // ===== Rejoin semantics =====
 
 TEST(ChurnRejoin, RejoinersResyncBeforeTraining) {
-  Scenario s = churn_scenario(OfflinePolicy::kDrop);
+  Scenario s = churn_scenario();
   ScenarioInputs inputs;
   Simulator sim = make_scenario_simulator(s, inputs);
   sim.run(s.epochs);
@@ -181,7 +176,7 @@ TEST(ChurnRejoin, SecureRejoinReattestsAndStaysDecryptable) {
   // shares sealed under the old key may still be in flight — the stale-key
   // fallback must keep every delivery decryptable, and the run must end
   // fully attested on every node.
-  Scenario s = churn_scenario(OfflinePolicy::kDefer);
+  Scenario s = churn_scenario();
   s.rex.security = enclave::SecurityMode::kSgxSimulated;
   s.epochs = 6;
   ScenarioInputs inputs;
@@ -211,26 +206,23 @@ TEST(ChurnRejoin, SecureRejoinReattestsAndStaysDecryptable) {
 // ===== Resync-byte conservation =====
 
 TEST(ChurnRejoin, ResyncBytesConserved) {
-  for (const OfflinePolicy policy :
-       {OfflinePolicy::kDrop, OfflinePolicy::kDefer}) {
-    Scenario s = churn_scenario(policy);
-    ScenarioInputs inputs;
-    Simulator sim = make_scenario_simulator(s, inputs);
-    sim.run(s.epochs);
+  Scenario s = churn_scenario();
+  ScenarioInputs inputs;
+  Simulator sim = make_scenario_simulator(s, inputs);
+  sim.run(s.epochs);
 
-    const SimEngine::ResyncTotals& totals = sim.engine().resync_totals();
-    EXPECT_GT(totals.tx_bytes, 0u);
-    // Conservation: every resync byte released onto the wire was received,
-    // is still queued, or was dropped at a receiver that churned again.
-    EXPECT_EQ(totals.tx_bytes, totals.rx_bytes + totals.in_flight_bytes +
-                                   totals.dropped_bytes);
-    // The per-node receive counters are exactly the engine's rx total.
-    std::uint64_t per_node_rx = 0;
-    for (core::NodeId id = 0; id < sim.node_count(); ++id) {
-      per_node_rx += sim.engine().node_status(id).resync_bytes;
-    }
-    EXPECT_EQ(per_node_rx, totals.rx_bytes);
+  const SimEngine::ResyncTotals& totals = sim.engine().resync_totals();
+  EXPECT_GT(totals.tx_bytes, 0u);
+  // Conservation: every resync byte released onto the wire was received,
+  // is still queued, or was dropped at a receiver that churned again.
+  EXPECT_EQ(totals.tx_bytes, totals.rx_bytes + totals.in_flight_bytes +
+                                 totals.dropped_bytes);
+  // The per-node receive counters are exactly the engine's rx total.
+  std::uint64_t per_node_rx = 0;
+  for (core::NodeId id = 0; id < sim.node_count(); ++id) {
+    per_node_rx += sim.engine().node_status(id).resync_bytes;
   }
+  EXPECT_EQ(per_node_rx, totals.rx_bytes);
 }
 
 // ===== Partition tolerance =====
@@ -240,7 +232,7 @@ TEST(ChurnRejoin, AllNeighborsDownTerminatesWithoutRunawayGuard) {
   // routinely find their entire neighborhood offline. The empty-peer-set
   // rejoin completes immediately and training restarts; the run must meet
   // its epoch targets without tripping the runaway guard.
-  Scenario s = churn_scenario(OfflinePolicy::kDrop);
+  Scenario s = churn_scenario();
   s.dynamics.churn_probability = 1.0;
   s.dynamics.churn_downtime_s = 0.0005;
   s.epochs = 5;
@@ -260,7 +252,7 @@ TEST(ChurnRejoin, WatchdogUnsticksARejoinerWhoseNeighborChurned) {
   // Aggressive churn with long-ish downtimes: requests regularly land on
   // peers that just dropped, so some rejoins can only complete through the
   // kRejoinDeadline watchdog. The run must still terminate and catch up.
-  Scenario s = churn_scenario(OfflinePolicy::kDrop);
+  Scenario s = churn_scenario();
   s.dynamics.churn_probability = 0.6;
   s.dynamics.churn_downtime_s = 0.003;
   s.dynamics.rejoin_timeout_s = 0.002;

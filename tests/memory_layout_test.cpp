@@ -1,8 +1,8 @@
 // Memory layout primitives of the mega-scale profile (DESIGN.md §10):
-// ObjectArena index/address stability, EnvelopeFifo storage recycling, the
-// sharded BufferPool freelists, and the MF user-row store in both of its
-// shapes (rows materialized up front in user order, or on demand) —
-// including the contract that the shape never changes a value or a byte.
+// ObjectArena index/address stability, the sharded BufferPool freelists,
+// and the MF user-row store in both of its shapes (rows materialized up
+// front in user order, or on demand) — including the contract that the
+// shape never changes a value or a byte.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ml/mf.hpp"
-#include "net/transport.hpp"
 #include "support/arena.hpp"
 #include "support/pool.hpp"
 #include "support/rng.hpp"
@@ -63,36 +62,6 @@ TEST(ObjectArena, DestroysInReverseConstructionOrder) {
   Tracked::destroyed = nullptr;
   ASSERT_EQ(destroyed.size(), 5u);
   EXPECT_EQ(destroyed, (std::vector<int>{4, 3, 2, 1, 0}));
-}
-
-// ===== EnvelopeFifo =====
-
-net::Envelope make_envelope(net::NodeId src, net::NodeId dst,
-                            std::uint8_t byte) {
-  net::Envelope env;
-  env.src = src;
-  env.dst = dst;
-  env.payload = Bytes{byte};
-  return env;
-}
-
-TEST(EnvelopeFifo, FifoOrderAndStorageRecycling) {
-  net::EnvelopeFifo fifo;
-  EXPECT_TRUE(fifo.empty());
-  for (std::uint8_t b = 0; b < 8; ++b) fifo.push_back(make_envelope(1, 2, b));
-  EXPECT_EQ(fifo.size(), 8u);
-  for (std::uint8_t b = 0; b < 8; ++b) {
-    EXPECT_EQ(fifo.front().payload[0], b);
-    EXPECT_EQ(fifo.pop_front().payload[0], b);
-  }
-  EXPECT_TRUE(fifo.empty());
-  // Fully drained: the cursor reset, so refills reuse the same storage
-  // from index 0 instead of growing the vector forever.
-  const std::size_t capacity = fifo.items.capacity();
-  EXPECT_GT(capacity, 0u);
-  for (std::uint8_t b = 0; b < 8; ++b) fifo.push_back(make_envelope(1, 2, b));
-  EXPECT_EQ(fifo.items.capacity(), capacity);
-  EXPECT_EQ(fifo.head, 0u);
 }
 
 // ===== Sharded BufferPool =====

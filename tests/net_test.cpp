@@ -159,18 +159,18 @@ TEST(Transport, DrainMovesPayloadsOutOfTheInbox) {
   EXPECT_EQ(t.inbox_size(1), 0u);
 }
 
-TEST(Transport, ShardedInboxPreservesOrderAcrossManySenders) {
-  // More senders than shards: the k-way merge must still reproduce the
-  // (sender id, send order) sequence.
-  constexpr std::size_t kNodes = 3 * Transport::kInboxShards + 1;
-  Transport t(kNodes);
-  for (NodeId src = kNodes - 1; src >= 1; --src) {
+TEST(Transport, InboxPreservesOrderAcrossManySenders) {
+  // 25 senders enqueue in descending id order, two envelopes each; the
+  // inbox must hand them back in (sender id, send order) sequence.
+  constexpr NodeId kSenders = 25;
+  Transport t(kSenders + 1);
+  for (NodeId src = kSenders; src >= 1; --src) {
     t.send(make(src, 0, src));
     t.send(make(src, 0, src + 100));
   }
   t.flush_round();
   const auto delivered = t.drain_inbox(0);
-  ASSERT_EQ(delivered.size(), 2 * (kNodes - 1));
+  ASSERT_EQ(delivered.size(), 2u * kSenders);
   for (std::size_t i = 0; i < delivered.size(); i += 2) {
     const NodeId expected_src = static_cast<NodeId>(i / 2 + 1);
     EXPECT_EQ(delivered[i].src, expected_src);
@@ -178,6 +178,32 @@ TEST(Transport, ShardedInboxPreservesOrderAcrossManySenders) {
     EXPECT_EQ(delivered[i + 1].src, expected_src);
     EXPECT_EQ(delivered[i + 1].payload.size(), expected_src + 100u);
   }
+}
+
+TEST(Transport, TwoFlushesBeforeOneDrainKeepFlushSenderSendOrder) {
+  // A destination that skips a drain keeps what it holds: the first
+  // flush's envelopes come out first, each flush's in (sender id, send
+  // order).
+  Transport t(4);
+  t.send(make(3, 0, 1));
+  t.send(make(1, 0, 2));
+  t.send(make(1, 0, 3));
+  t.flush_round();
+  t.send(make(2, 0, 4));
+  t.send(make(1, 0, 5));
+  t.send(make(2, 0, 6));
+  t.flush_round();
+  EXPECT_EQ(t.inbox_size(0), 6u);
+  std::vector<Envelope> delivered;
+  t.drain_inbox(0, delivered);
+  ASSERT_EQ(delivered.size(), 6u);
+  const NodeId expected_src[] = {1, 1, 3, 1, 2, 2};
+  const std::size_t expected_size[] = {2, 3, 1, 5, 4, 6};
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].src, expected_src[i]) << i;
+    EXPECT_EQ(delivered[i].payload.size(), expected_size[i]) << i;
+  }
+  EXPECT_EQ(t.inbox_size(0), 0u);
 }
 
 TEST(Transport, ManyMessagesFifoPerSender) {

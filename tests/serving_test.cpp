@@ -262,7 +262,6 @@ Scenario churn_scenario() {
   s.dynamics.speed_lognormal_sigma = 0.3;
   s.dynamics.churn_probability = 0.25;
   s.dynamics.churn_downtime_s = 0.001;
-  s.dynamics.offline_shares = OfflinePolicy::kDrop;
   return s;
 }
 

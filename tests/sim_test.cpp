@@ -1,10 +1,17 @@
 // Simulation tests: cost model algebra, simulator end-to-end behaviour
 // (convergence, determinism incl. thread-count independence, traffic gap,
-// SGX overhead direction), centralized baseline, scenario presets.
+// SGX overhead direction), centralized baseline, scenario presets, and the
+// CSV writers' headers against their docs/reporting.md tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "net/netstats.hpp"
 #include "sim/centralized.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/experiment.hpp"
@@ -245,6 +252,92 @@ TEST(Report, CsvWrites) {
   std::string line;
   while (std::getline(in, line)) ++lines;
   EXPECT_EQ(lines, result.rounds.size());
+}
+
+/// First line of a CSV file, split on commas.
+std::vector<std::string> csv_header(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::string line;
+  std::getline(in, line);
+  std::vector<std::string> names;
+  std::stringstream cells(line);
+  std::string name;
+  while (std::getline(cells, name, ',')) names.push_back(name);
+  return names;
+}
+
+/// Columns docs/reporting.md documents for `writer`: the backticked names
+/// in the first cell of each table row under the `## ... `writer`` heading
+/// (one cell may name several: "`min_rmse` / `max_rmse`").
+std::vector<std::string> documented_columns(const std::string& writer) {
+  const std::filesystem::path doc =
+      std::filesystem::path(__FILE__).parent_path().parent_path() / "docs" /
+      "reporting.md";
+  std::ifstream in(doc);
+  EXPECT_TRUE(in.good()) << doc;
+  std::vector<std::string> names;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      in_section = line.find("`" + writer + "`") != std::string::npos;
+      continue;
+    }
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+      const std::size_t close = cell.find('`', open + 1);
+      names.push_back(cell.substr(open + 1, close - open - 1));
+      open = cell.find('`', close + 1);
+    }
+  }
+  return names;
+}
+
+/// The names of `names` that `pool` lacks, space-separated.
+std::string absent_from(const std::vector<std::string>& names,
+                        const std::vector<std::string>& pool) {
+  std::string absent;
+  for (const std::string& name : names) {
+    if (std::find(pool.begin(), pool.end(), name) == pool.end()) {
+      absent += (absent.empty() ? "" : " ") + name;
+    }
+  }
+  return absent;
+}
+
+TEST(Report, EveryWriterHeaderMatchesItsReportingTable) {
+  Scenario s = tiny_scenario();
+  s.epochs = 1;
+  ScenarioInputs inputs;
+  Simulator sim = make_scenario_simulator(s, inputs);
+  sim.run(s.epochs);
+  const auto path = [](const std::string& writer) {
+    return (std::filesystem::temp_directory_path() /
+            ("rex_schema_" + writer + ".csv"))
+        .string();
+  };
+  write_csv(sim.result(), path("write_csv"));
+  write_node_csv(sim.engine(), path("write_node_csv"));
+  write_edge_csv(sim.engine(), path("write_edge_csv"));
+  write_query_csv(sim.engine(), path("write_query_csv"));
+  net::write_netstats_csv(path("write_netstats_csv"), 0, net::NetStats{});
+
+  for (const std::string writer :
+       {"write_csv", "write_node_csv", "write_edge_csv", "write_query_csv",
+        "write_netstats_csv"}) {
+    SCOPED_TRACE(writer);
+    const std::vector<std::string> header = csv_header(path(writer));
+    const std::vector<std::string> documented = documented_columns(writer);
+    ASSERT_FALSE(header.empty());
+    ASSERT_FALSE(documented.empty());
+    EXPECT_EQ(absent_from(header, documented), "")
+        << "written but not in docs/reporting.md";
+    EXPECT_EQ(absent_from(documented, header), "")
+        << "in docs/reporting.md but not written";
+    std::filesystem::remove(path(writer));
+  }
 }
 
 TEST(Scenario, LabelFormat) {
