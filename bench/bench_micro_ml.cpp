@@ -2,13 +2,18 @@
 //
 // Calibrates the per-step costs behind the CostModel: MF SGD steps at
 // several embedding sizes, DNN minibatch training at the paper's 215k-
-// parameter configuration, model serialization, and the two merge flavours
-// (pairwise RMW average and Metropolis–Hastings weighted D-PSGD average).
+// parameter configuration, model serialization, the two merge flavours
+// (pairwise RMW average and Metropolis–Hastings weighted D-PSGD average),
+// and the raw-data merge's duplicate filter.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "data/movielens.hpp"
 #include "ml/dnn.hpp"
 #include "ml/mf.hpp"
+#include "support/flat_set32.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -165,6 +170,66 @@ void BM_DnnSerialize(benchmark::State& state) {
                           static_cast<std::int64_t>(model.wire_size()));
 }
 BENCHMARK(BM_DnnSerialize);
+
+// The raw-data merge's duplicate filter (Algorithm 2 line 16) at the Table
+// II shape, 610 users x 9,000 items: one epoch's shares, 9,000 cell ids of
+// which 59% the node already holds, batch-inserted into a store index of
+// 33k keys. An iteration visits 512 such tables in turn, 128 MiB of slots
+// in all (more than a 105 MiB L3), so each table is cold when its batch
+// comes, as a node's is when its turn in a round comes (610 nodes, about
+// 1.9 MiB of state each). The tables go back to their 33k keys between
+// iterations, untimed.
+void BM_DuplicateFilter(benchmark::State& state) {
+  constexpr std::size_t kTables = 512;
+  constexpr std::size_t kHeld = 33000;
+  constexpr std::size_t kBatch = 9000;
+  constexpr std::size_t kDuplicates = kBatch * 59 / 100;
+  constexpr std::uint64_t kUsers = 610;
+  constexpr std::uint64_t kItems = 9000;
+  Rng rng(21);
+  const auto draw_cell = [&rng] {
+    const std::uint64_t user = rng.uniform(kUsers);
+    return static_cast<std::uint32_t>(user * kItems + rng.uniform(kItems));
+  };
+  std::vector<FlatSet32> held(kTables);
+  std::vector<std::vector<std::uint32_t>> batches(kTables);
+  for (std::size_t t = 0; t < kTables; ++t) {
+    std::vector<std::uint32_t> ids;
+    while (ids.size() < kHeld) {
+      const std::uint32_t id = draw_cell();
+      if (held[t].insert(id)) ids.push_back(id);
+    }
+    std::vector<std::uint32_t>& batch = batches[t];
+    FlatSet32 fresh;  // new ids appear once per batch
+    for (std::size_t i = 0; i < kDuplicates; ++i) {
+      batch.push_back(ids[rng.uniform(ids.size())]);
+    }
+    while (batch.size() < kBatch) {
+      const std::uint32_t id = draw_cell();
+      if (!held[t].contains(id) && fresh.insert(id)) batch.push_back(id);
+    }
+    rng.shuffle(batch);
+  }
+  std::vector<FlatSet32> tables = held;
+  std::size_t inserted = 0;
+  for (auto _ : state) {
+    for (std::size_t t = 0; t < kTables; ++t) {
+      tables[t].insert_batch(
+          batches[t], [](std::uint32_t id) { return id; },
+          [&inserted](std::uint32_t, bool added) { inserted += added; });
+    }
+    benchmark::DoNotOptimize(inserted);
+    state.PauseTiming();
+    tables = held;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTables * kBatch));
+  state.counters["new_frac"] = static_cast<double>(inserted) /
+                               static_cast<double>(state.iterations() *
+                                                   kTables * kBatch);
+}
+BENCHMARK(BM_DuplicateFilter);
 
 }  // namespace
 

@@ -34,8 +34,7 @@ void describe(const char* name, const Graph& g) {
 void describe_links(const Graph& g, const sim::LinkParams& params,
                     std::uint64_t seed) {
   const sim::CostParams defaults;
-  const sim::LinkModel links(g, params, defaults.link_latency_s,
-                             defaults.bandwidth_bytes_per_s, seed);
+  const sim::LinkModel links(g, params, defaults.link_latency_s, seed);
   const sim::LinkModel::Stats lat = links.latency_stats();
   const sim::LinkModel::Stats bw = links.bandwidth_stats();
   std::printf("    wan links: %zu regions  latency %.2f/%.2f/%.2f ms  "

@@ -355,10 +355,19 @@ void TrustedNode::ecall_init(TrustedInit init) {
   runtime_.record_ecall(init_bytes);
 
   // Algorithm 2 lines 2-3: copy the local partition into protected memory
-  // and initialize data structures.
+  // and initialize data structures. The model comes first: its catalogue
+  // size defines the cell ids that index the store.
+  model_ = model_factory_(rng_);
+  const std::uint64_t n_items = model_->item_count();
+  REX_REQUIRE(n_items <= (std::uint64_t{1} << 32),
+              "catalogue of " + std::to_string(n_items) +
+                  " items exceeds the 32-bit cell-id space");
+  require_cell_ids(init.local_train, id_);
   store_ = std::move(init.local_train);
   store_index_.reserve(store_.size());
-  for (const data::Rating& r : store_) store_index_.insert(pair_key(r));
+  for (const data::Rating& r : store_) {
+    store_index_.insert(cell_id(r, n_items));
+  }
   local_users_.reserve(store_.size());
   for (const data::Rating& r : store_) local_users_.push_back(r.user);
   std::sort(local_users_.begin(), local_users_.end());
@@ -371,7 +380,6 @@ void TrustedNode::ecall_init(TrustedInit init) {
     std::sort(neighbors_.begin(), neighbors_.end());
     reset_neighbor_state();
   }
-  model_ = model_factory_(rng_);
   initialized_ = true;
   update_memory_accounting();
 
@@ -507,6 +515,11 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   // the cost model. (The caller may catch the Error and keep the node
   // running, as the tamper tests do.)
   //
+  // First, every raw rating must have a cell id, the duplicate filter's
+  // key (DESIGN.md §10 "Duplicate filter"): one outside the catalogue
+  // would otherwise sit in the store until SGD sampled it.
+  require_cell_ids(input.payload.ratings, src);
+
   // A sender's epochs strictly increase and per-edge delivery is FIFO, so
   // an epoch at or below the neighbor's watermark is a resend or replay —
   // including of payloads already consumed, which the slot cannot see.
@@ -699,9 +712,26 @@ ml::RecModel& TrustedNode::alien_scratch(std::size_t index) {
   return *alien_pool_[index];
 }
 
+void TrustedNode::require_cell_ids(std::span<const data::Rating> ratings,
+                                   NodeId from) const {
+  const std::uint64_t n_items = model_->item_count();
+  const auto bad = std::find_if(
+      ratings.begin(), ratings.end(), [n_items](const data::Rating& r) {
+        return r.item >= n_items || r.user * n_items + r.item > UINT32_MAX;
+      });
+  REX_REQUIRE(bad == ratings.end(),
+              "raw rating from node " + std::to_string(from) + " (user " +
+                  std::to_string(bad->user) + ", item " +
+                  std::to_string(bad->item) + ") has no 32-bit cell id in a " +
+                  std::to_string(n_items) + "-item catalogue");
+}
+
 void TrustedNode::append_raw_data(const std::vector<data::Rating>& ratings) {
+  const std::uint64_t n_items = model_->item_count();
   store_index_.insert_batch(
-      ratings, pair_key, [this](const data::Rating& r, bool inserted) {
+      ratings,
+      [n_items](const data::Rating& r) { return cell_id(r, n_items); },
+      [this](const data::Rating& r, bool inserted) {
         if (inserted) {
           store_.push_back(r);
           ++counters_.ratings_appended;
@@ -864,9 +894,10 @@ std::size_t TrustedNode::memory_footprint() const {
   if (!initialized_) return 0;
   // Model + optimizer state, the raw-data store, its duplicate-filter index,
   // the local test set, and the pending payload buffers. The index is a
-  // FlatSet64 (8 B slots at 1/2 to 3/4 load); it is charged a flat 16 B
+  // FlatSet32 (4 B slots at 1/2 to 3/4 load); it is charged a flat 16 B
   // per key, the figure the EPC accounting has always used, so enclave
-  // memory charges do not depend on the table's load bound.
+  // memory charges depend on neither the table's slot width nor its load
+  // bound.
   std::size_t bytes = model_->memory_footprint();
   // Merge scratch buffers (model sharing materializes alien models).
   for (const auto& alien : alien_pool_) bytes += alien->memory_footprint();

@@ -24,7 +24,7 @@
 #include "ml/model.hpp"
 #include "ml/topk.hpp"
 #include "net/message.hpp"
-#include "support/flat_set64.hpp"
+#include "support/flat_set32.hpp"
 
 namespace rex::core {
 
@@ -231,9 +231,18 @@ class TrustedNode {
   /// Reusable alien-model buffer for merge_step (grown on demand).
   [[nodiscard]] ml::RecModel& alien_scratch(std::size_t index);
   void append_raw_data(const std::vector<data::Rating>& ratings);
-  [[nodiscard]] static std::uint64_t pair_key(const data::Rating& r) {
-    return (static_cast<std::uint64_t>(r.user) << 32) | r.item;
+  /// A rating's position in the user x item matrix of an `n_items`
+  /// catalogue: its key in the duplicate filter (DESIGN.md §10 "Duplicate
+  /// filter"). Valid for ratings that passed require_cell_ids.
+  [[nodiscard]] static std::uint32_t cell_id(const data::Rating& r,
+                                             std::uint64_t n_items) {
+    return static_cast<std::uint32_t>(r.user * n_items + r.item);
   }
+  /// Throws, naming `from` and the first offending (user, item), unless
+  /// every rating has a cell id: item < item_count() and
+  /// user x item_count() + item < 2^32.
+  void require_cell_ids(std::span<const data::Rating> ratings,
+                        NodeId from) const;
   [[nodiscard]] enclave::AttestationSession& session(NodeId peer);
   void update_memory_accounting();
 
@@ -324,7 +333,7 @@ class TrustedNode {
   std::unique_ptr<ml::RecModel> model_;
   std::vector<std::unique_ptr<ml::RecModel>> alien_pool_;  // merge scratch
   std::vector<data::Rating> store_;       // raw-data store (protected memory)
-  FlatSet64 store_index_;                 // duplicate filter (hot path)
+  FlatSet32 store_index_;                 // duplicate filter (hot path)
   std::vector<data::Rating> test_data_;
 
   /// One buffered protocol input: the payload plus its arrival rank (the

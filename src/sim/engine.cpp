@@ -131,9 +131,9 @@ void SimEngine::run_attestation() {
   // Each node touches only its own sessions, DRBG and outbox, and
   // flush_round routes in sender order, so both phases run on the pool
   // (key generation first, then every delivery step) with output
-  // identical at any worker count. Shards rather than run_barrier_round's
-  // static blocks: the lower id of a pair initiates, so a step's X25519
-  // work is skewed towards one end of the id range.
+  // identical at any worker count. The lower id of a pair initiates, so a
+  // step's X25519 work is skewed towards one end of the id range; workers
+  // claim nodes one at a time, which absorbs that skew.
   pool_.parallel_shards(n, [&](std::size_t id) {
     const auto node = static_cast<core::NodeId>(id);
     hosts_[id].start_attestation(std::vector<core::NodeId>(
@@ -180,8 +180,7 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
   const std::size_t n = hosts_.size();
   REX_REQUIRE(shards.size() == n, "one shard per node required");
   transport_.reset_epoch_stats();
-  // Uniform per-node cost: static block split (parallel_for) is enough.
-  pool_.parallel_for(n, [&](std::size_t id) {
+  pool_.parallel_shards(n, [&](std::size_t id) {
     hosts_[id].runtime().reset_epoch_counters();
     core::TrustedInit init;
     init.local_train = std::move(shards[id].train);
@@ -241,8 +240,10 @@ void SimEngine::run_barrier_round() {
   // trains because the round *is* its period.
   const std::size_t n = hosts_.size();
   transport_.reset_epoch_stats();
-  // Every node does one epoch of comparable cost: static block split.
-  pool_.parallel_for(n, [&](std::size_t id) {
+  // Nodes claim workers one at a time: epoch costs differ (store sizes,
+  // degrees) and the round waits for the last node to finish, so a static
+  // split would idle every worker that drew cheap nodes.
+  pool_.parallel_shards(n, [&](std::size_t id) {
     hosts_[id].runtime().reset_epoch_counters();
     // Recycled per-worker drain buffer: the historical loop allocated (and
     // freed) one vector per node per round, n allocations a round at 10k

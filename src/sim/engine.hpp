@@ -7,11 +7,12 @@
 // instead of waiting on the slowest peer. Two scheduling disciplines:
 //
 //   kBarrier      the paper's synchronized rounds (§III-D). Each round runs
-//                 every node's epoch concurrently (ThreadPool::parallel_for
-//                 static blocks, no queue); the round clock advances by the
-//                 slowest node's stage total plus one propagation latency.
-//                 Metrics are bit-identical to the historical
-//                 `deliver_and_run_round` loop for the same seed.
+//                 every node's epoch concurrently (ThreadPool::
+//                 parallel_shards: workers claim nodes one at a time, no
+//                 queue); the round clock advances by the slowest node's
+//                 stage total plus one propagation latency. Metrics are
+//                 bit-identical to the historical `deliver_and_run_round`
+//                 loop for the same seed.
 //
 //   kEventDriven  fully asynchronous. A node's protocol run is placed on
 //                 its own timeline: the epoch starts when its trigger event

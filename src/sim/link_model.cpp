@@ -56,11 +56,8 @@ const std::vector<std::string>& wan_profile_names() {
 }
 
 LinkModel::LinkModel(const graph::Graph& topology, const LinkParams& params,
-                     double default_latency_s,
-                     double default_bandwidth_bytes_per_s, std::uint64_t seed)
-    : params_(params),
-      default_latency_s_(default_latency_s),
-      default_bandwidth_(default_bandwidth_bytes_per_s) {
+                     double default_latency_s, std::uint64_t seed)
+    : params_(params), default_latency_s_(default_latency_s) {
   if (!params_.enabled) return;
   REX_REQUIRE(params_.regions >= 1, "link model needs at least one region");
   REX_REQUIRE(params_.min_bandwidth_bytes_per_s > 0.0,
@@ -163,11 +160,6 @@ std::size_t LinkModel::slot(graph::NodeId u, graph::NodeId v) const {
 SimTime LinkModel::latency(graph::NodeId u, graph::NodeId v) const {
   if (!heterogeneous_) return SimTime{default_latency_s_};
   return SimTime{edge_latency_[slot_edge_[slot(u, v)]]};
-}
-
-double LinkModel::bandwidth(graph::NodeId u, graph::NodeId v) const {
-  if (!heterogeneous_) return default_bandwidth_;
-  return edge_bandwidth_[slot_edge_[slot(u, v)]];
 }
 
 std::size_t LinkModel::edge_id(graph::NodeId u, graph::NodeId v) const {

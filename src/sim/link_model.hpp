@@ -87,13 +87,12 @@ class LinkModel {
 
   /// Builds the per-edge model over `topology`. When `params.enabled` is
   /// false this stores nothing and behaves exactly like the default
-  /// constructor with the given globals. Draws are keyed per undirected
-  /// edge (DESIGN.md §5 "Seeding"): the same (seed, topology) pair yields
-  /// the same edge values regardless of construction order, worker-thread
-  /// count or scheduling discipline.
+  /// constructor with the given global latency. Draws are keyed per
+  /// undirected edge (DESIGN.md §5 "Seeding"): the same (seed, topology)
+  /// pair yields the same edge values regardless of construction order,
+  /// worker-thread count or scheduling discipline.
   LinkModel(const graph::Graph& topology, const LinkParams& params,
-            double default_latency_s, double default_bandwidth_bytes_per_s,
-            std::uint64_t seed);
+            double default_latency_s, std::uint64_t seed);
 
   /// True when per-edge values are in force (enabled, non-degenerate).
   [[nodiscard]] bool heterogeneous() const { return heterogeneous_; }
@@ -106,9 +105,6 @@ class LinkModel {
   /// default for any pair. Heterogeneous: requires {u, v} to be a topology
   /// edge (throws otherwise).
   [[nodiscard]] SimTime latency(graph::NodeId u, graph::NodeId v) const;
-
-  /// Bandwidth of edge {u, v} in bytes/s (same contract as latency()).
-  [[nodiscard]] double bandwidth(graph::NodeId u, graph::NodeId v) const;
 
   /// Stable id of undirected edge {u, v} in [0, edge_count()); indexes the
   /// engine's per-edge delivery counters. Heterogeneous models only.
@@ -151,7 +147,6 @@ class LinkModel {
   LinkParams params_;
   bool heterogeneous_ = false;
   double default_latency_s_ = 100e-6;
-  double default_bandwidth_ = 125e6;
 
   // CSR over the topology's sorted adjacency: per directed (u, v) slot the
   // undirected edge id; per undirected edge the drawn values. Empty in the

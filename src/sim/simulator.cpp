@@ -21,7 +21,7 @@ Simulator::Simulator(Setup setup)
   // every discipline and worker-thread count sees identical values.
   link_model_ = std::make_unique<LinkModel>(
       *topology_, cost_model_.params().wan, cost_model_.params().link_latency_s,
-      cost_model_.params().bandwidth_bytes_per_s, setup.seed);
+      setup.seed);
   transport_ = std::make_unique<net::Transport>(n);
   pool_ = std::make_unique<ThreadPool>(setup.threads);
 

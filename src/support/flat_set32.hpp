@@ -1,15 +1,18 @@
-// Open-addressing set of non-zero-biased 64-bit keys.
+// Open-addressing set of 32-bit keys.
 //
 // The trusted node's raw-data duplicate filter does one lookup-or-insert
 // per received rating — at 10k nodes that is millions of hashes per
 // simulated second, and std::unordered_set's node allocations plus bucket
 // chains dominated the merge stage in profiles. This set is a single flat
 // array with linear probing and a splitmix finalizer: one cache line per
-// probe, no allocations after reserve, ~4x faster inserts. Only the
-// operations the dedup filter needs (insert / insert_batch / contains /
-// size) exist; iteration order is deliberately not provided, so
-// determinism cannot come to depend on hash layout. Load bound and batch
-// design: DESIGN.md §10 "Duplicate filter".
+// probe, no allocations after reserve, ~4x faster inserts. Its keys are
+// the store's cell ids (a rating's position in the user x item matrix),
+// which fit 4-byte slots: a table spans half the cache lines and pages
+// that 8-byte (user, item) keys needed. Only the operations the dedup
+// filter needs (insert / insert_batch / contains / size) exist; iteration
+// order is deliberately not provided, so determinism cannot come to depend
+// on hash layout. Key, load bound and batch design: DESIGN.md §10
+// "Duplicate filter".
 #pragma once
 
 #include <cstddef>
@@ -18,15 +21,15 @@
 
 namespace rex {
 
-class FlatSet64 {
+class FlatSet32 {
  public:
   /// insert_batch() hashes and prefetches this many keys ahead of the one
   /// it inserts.
   static constexpr std::size_t kPrefetchDistance = 8;
-  /// Slots (64 KiB) from which a table fills to 3/4 rather than 1/2.
+  /// Slots (32 KiB) from which a table fills to 3/4 rather than 1/2.
   static constexpr std::size_t kLargeTable = std::size_t{1} << 13;
 
-  FlatSet64() = default;
+  FlatSet32() = default;
 
   /// Pre-sizes for `expected` keys: capacity rounds up to the smallest
   /// power of two that holds them under insert()'s max load.
@@ -38,7 +41,7 @@ class FlatSet64 {
 
   /// Inserts `key`; returns true when it was not present (matching the
   /// unordered_set::insert(...).second contract the dedup filter uses).
-  bool insert(std::uint64_t key) { return insert(key, mix(key)); }
+  bool insert(std::uint32_t key) { return insert(key, mix(key)); }
 
   /// Batched insert(): for each element `x` of `items`, in order, calls
   /// `on_result(x, insert(key_of(x)))`, so results, growth and the key-0
@@ -63,7 +66,7 @@ class FlatSet64 {
     }
   }
 
-  [[nodiscard]] bool contains(std::uint64_t key) const {
+  [[nodiscard]] bool contains(std::uint32_t key) const {
     if (key == kEmpty) return has_empty_key_;
     if (slots_.empty()) return false;
     const std::size_t mask = slots_.size() - 1;
@@ -87,7 +90,7 @@ class FlatSet64 {
   }
 
  private:
-  static constexpr std::uint64_t kEmpty = 0;
+  static constexpr std::uint32_t kEmpty = 0;
 
   [[nodiscard]] static std::uint64_t mix(std::uint64_t z) {
     // splitmix64 finalizer: full avalanche, so sequential item ids spread.
@@ -107,12 +110,12 @@ class FlatSet64 {
   }
 
   /// insert(key) with `hash` == mix(key) already computed.
-  bool insert(std::uint64_t key, std::uint64_t hash) {
+  bool insert(std::uint32_t key, std::uint64_t hash) {
     if (slots_.empty() || !fits(size_ + 1, slots_.size())) {
       rehash(slots_.empty() ? 16 : slots_.size() * 2);
     }
-    // Keys are (user << 32 | item) pairs, so 0 — the empty-slot marker —
-    // is a real key (user 0, item 0); it lives in a flag, not a slot.
+    // Keys are cell ids, so 0 — the empty-slot marker — is a real key
+    // (user 0, item 0); it lives in a flag, not a slot.
     if (key == kEmpty) {
       if (has_empty_key_) return false;
       has_empty_key_ = true;
@@ -130,7 +133,7 @@ class FlatSet64 {
     return true;
   }
 
-  std::uint64_t hash_and_prefetch(std::uint64_t key) const {
+  std::uint64_t hash_and_prefetch(std::uint32_t key) const {
     const std::uint64_t hash = mix(key);
     if (!slots_.empty()) {
       __builtin_prefetch(slots_.data() + (hash & (slots_.size() - 1)));
@@ -139,10 +142,10 @@ class FlatSet64 {
   }
 
   void rehash(std::size_t new_cap) {
-    std::vector<std::uint64_t> old = std::move(slots_);
+    std::vector<std::uint32_t> old = std::move(slots_);
     slots_.assign(new_cap, kEmpty);
     const std::size_t mask = new_cap - 1;
-    for (std::uint64_t key : old) {
+    for (std::uint32_t key : old) {
       if (key == kEmpty) continue;
       std::size_t pos = mix(key) & mask;
       while (slots_[pos] != kEmpty) pos = (pos + 1) & mask;
@@ -150,7 +153,7 @@ class FlatSet64 {
     }
   }
 
-  std::vector<std::uint64_t> slots_;
+  std::vector<std::uint32_t> slots_;
   std::size_t size_ = 0;
   bool has_empty_key_ = false;
 };

@@ -8,7 +8,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  tasks_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -24,35 +23,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_blocks(std::size_t n, IndexFn fn, void* ctx) {
-  if (n == 0) return;
-  const std::size_t workers = workers_.size();
-  if (workers == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
-    return;
-  }
-  {
-    std::lock_guard lock(mutex_);
-    first_error_ = nullptr;
-    shard_mode_ = false;
-    const std::size_t chunk = (n + workers - 1) / workers;
-    pending_ = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t begin = std::min(n, w * chunk);
-      const std::size_t end = std::min(n, begin + chunk);
-      tasks_[w] = Task{begin, end, fn, ctx};
-      if (begin < end) ++pending_;
-    }
-    ++generation_;
-  }
-  work_ready_.notify_all();
-  {
-    std::unique_lock lock(mutex_);
-    work_done_.wait(lock, [this] { return pending_ == 0; });
-    if (first_error_) std::rethrow_exception(first_error_);
-  }
-}
-
 void ThreadPool::run_shards(std::size_t n, IndexFn fn, void* ctx) {
   if (n == 0) return;
   const std::size_t workers = workers_.size();
@@ -63,7 +33,6 @@ void ThreadPool::run_shards(std::size_t n, IndexFn fn, void* ctx) {
   {
     std::lock_guard lock(mutex_);
     first_error_ = nullptr;
-    shard_mode_ = true;
     shard_count_ = n;
     next_shard_ = 0;
     shard_fn_ = fn;
@@ -89,7 +58,7 @@ void ThreadPool::run_shard_batch() {
     std::size_t index = 0;
     {
       std::lock_guard lock(mutex_);
-      if (!shard_mode_ || next_shard_ >= shard_count_) return;
+      if (next_shard_ >= shard_count_) return;
       index = next_shard_++;
       fn = shard_fn_;
       ctx = shard_ctx_;
@@ -103,10 +72,7 @@ void ThreadPool::run_shard_batch() {
     {
       std::lock_guard lock(mutex_);
       if (error && !first_error_) first_error_ = error;
-      if (--pending_ == 0) {
-        shard_mode_ = false;  // batch complete; stale workers see it closed
-        work_done_.notify_all();
-      }
+      if (--pending_ == 0) work_done_.notify_all();
     }
   }
 }
@@ -114,7 +80,6 @@ void ThreadPool::run_shard_batch() {
 void ThreadPool::worker_loop() {
   std::size_t seen_generation = 0;
   for (;;) {
-    bool shard_batch = false;
     {
       std::unique_lock lock(mutex_);
       work_ready_.wait(lock, [&] {
@@ -122,41 +87,8 @@ void ThreadPool::worker_loop() {
       });
       if (stopping_) return;
       seen_generation = generation_;
-      shard_batch = shard_mode_;
     }
-    if (shard_batch) {
-      run_shard_batch();
-      continue;
-    }
-    // Drain every unclaimed chunk of this batch. Any subset of awakened
-    // workers can complete the batch, so a late wake-up cannot deadlock it.
-    for (;;) {
-      Task task{};
-      {
-        std::lock_guard lock(mutex_);
-        for (auto& t : tasks_) {
-          if (t.fn != nullptr && t.begin < t.end) {
-            task = t;
-            t.fn = nullptr;  // claimed
-            break;
-          }
-        }
-      }
-      if (task.fn == nullptr) break;  // batch fully claimed
-      std::exception_ptr error;
-      try {
-        for (std::size_t i = task.begin; i < task.end; ++i) {
-          task.fn(task.ctx, i);
-        }
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        std::lock_guard lock(mutex_);
-        if (error && !first_error_) first_error_ = error;
-        if (--pending_ == 0) work_done_.notify_all();
-      }
-    }
+    run_shard_batch();
   }
 }
 

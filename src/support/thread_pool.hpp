@@ -1,27 +1,20 @@
-// Fixed-size thread pool with deterministic data-parallel primitives.
+// Fixed-size thread pool with one deterministic data-parallel primitive.
 //
 // The simulation parallelizes *across nodes that own disjoint state*
 // (DESIGN.md §4), so no ordering between concurrently executed indices is
 // ever required and results stay bitwise identical to serial execution.
-// Two primitives:
+// parallel_shards splits work dynamically: workers claim the next
+// unclaimed index from a shared cursor, so an expensive index (a node with
+// a large store, an event batch with a slow node) does not idle the rest
+// of the pool. Barrier rounds, attestation steps and the event engine's
+// same-timestamp batches all run on it.
 //
-//   parallel_for     static block split — one contiguous chunk per worker.
-//                    Best when every index costs about the same (a barrier
-//                    round where all nodes do one epoch).
-//
-//   parallel_shards  work-stealing dynamic split — workers claim the next
-//                    unclaimed shard from a shared cursor, so a straggler
-//                    shard (an event batch with an expensive node) does not
-//                    idle the rest of the pool. Used by the event engine for
-//                    independent per-node event batches at the same
-//                    simulated timestamp.
-//
-// Both entry points are templates dispatching through a borrowed
-// (context, trampoline) pair instead of std::function: the event engine
-// calls parallel_shards once per same-timestamp batch — at 10k nodes that
-// is hundreds of thousands of calls, and a std::function materialized per
+// The entry point is a template dispatching through a borrowed (context,
+// trampoline) pair instead of std::function: the event engine calls
+// parallel_shards once per same-timestamp batch — at 10k nodes that is
+// hundreds of thousands of calls, and a std::function materialized per
 // call would put a heap allocation on the scheduler's critical path. The
-// callable only needs to outlive the call, which both primitives guarantee
+// callable only needs to outlive the call, which the primitive guarantees
 // by blocking until the batch completes.
 #pragma once
 
@@ -45,15 +38,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Runs fn(i) for i in [0, n), partitioned into contiguous blocks, one per
-  /// worker. Blocks until every call returned. Exceptions from `fn`
-  /// propagate to the caller (first one wins).
-  template <class F>
-  void parallel_for(std::size_t n, F&& fn) {
-    run_blocks(n, &trampoline<F>, const_cast<void*>(
-                                      static_cast<const void*>(&fn)));
-  }
-
   /// Runs fn(i) for i in [0, n) with dynamic (work-stealing) scheduling:
   /// every worker repeatedly claims the lowest unclaimed index until all are
   /// done. Each index runs exactly once; indices must be independent (no
@@ -75,14 +59,6 @@ class ThreadPool {
     (*static_cast<std::remove_reference_t<F>*>(ctx))(index);
   }
 
-  struct Task {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    IndexFn fn = nullptr;
-    void* ctx = nullptr;
-  };
-
-  void run_blocks(std::size_t n, IndexFn fn, void* ctx);
   void run_shards(std::size_t n, IndexFn fn, void* ctx);
   void worker_loop();
   void run_shard_batch();
@@ -91,16 +67,12 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable work_done_;
-  std::vector<Task> tasks_;        // one slot per worker (parallel_for)
-  std::size_t pending_ = 0;        // tasks not yet finished this batch
+  std::size_t pending_ = 0;        // shards not yet finished this batch
   std::size_t generation_ = 0;     // batch counter
   bool stopping_ = false;
   std::exception_ptr first_error_;
-
-  // parallel_shards state: a shared claim cursor instead of static blocks.
-  bool shard_mode_ = false;        // what the current batch runs
   std::size_t shard_count_ = 0;
-  std::size_t next_shard_ = 0;     // work-stealing cursor (guarded by mutex_)
+  std::size_t next_shard_ = 0;     // claim cursor (guarded by mutex_)
   IndexFn shard_fn_ = nullptr;
   void* shard_ctx_ = nullptr;
 };

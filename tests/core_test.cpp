@@ -103,9 +103,11 @@ struct Cluster {
     return dcfg;
   }
 
+  /// `model_users` widens the model's user range past the dataset's.
   Cluster(std::size_t n_nodes, const RexConfig& config,
           std::uint64_t seed = 5,
-          std::optional<data::SyntheticConfig> data_config = std::nullopt)
+          std::optional<data::SyntheticConfig> data_config = std::nullopt,
+          std::size_t model_users = 0)
       : transport(n_nodes) {
     const data::SyntheticConfig dcfg =
         data_config.value_or(default_data(n_nodes, seed));
@@ -118,7 +120,7 @@ struct Cluster {
     const enclave::EnclaveIdentity identity{
         enclave::measure_enclave_image("rex-enclave-v1")};
     ml::MfConfig mf;
-    mf.n_users = dataset.n_users;
+    mf.n_users = std::max(dataset.n_users, model_users);
     mf.n_items = dataset.n_items;
     mf.global_mean = static_cast<float>(dataset.mean_rating());
     mf.sgd_steps_per_epoch = 50;
@@ -305,6 +307,129 @@ TEST(RexProtocol, RawMergeKeepsFirstOccurrencesInNeighborOrder) {
   EXPECT_EQ(counters.duplicates_dropped, 3u);
   EXPECT_EQ(counters.ratings_appended + counters.duplicates_dropped,
             sent.at(1).size() + sent.at(2).size());
+}
+
+/// `env` with its raw payload's ratings replaced by `ratings`.
+net::Envelope with_ratings(net::Envelope env,
+                           std::vector<data::Rating> ratings) {
+  ProtocolPayload payload = ProtocolPayload::decode(env.payload.view());
+  payload.ratings = std::move(ratings);
+  env.payload = payload.encode();
+  return env;
+}
+
+TEST(RexProtocol, OutOfCatalogueRatingIsRejectedWithoutTrace) {
+  // item == item_count() has no cell id (DESIGN.md §10 "Duplicate
+  // filter"). The payload carrying it is refused at delivery, before it is
+  // buffered: the store, the counters and the sender's slot stay as they
+  // were, so the sender's genuine payload for the same round still merges
+  // and the node ends where a twin that never saw the bad payload ends.
+  Cluster cluster(3, raw_dpsgd_native());
+  Cluster twin(3, raw_dpsgd_native());
+  cluster.init_all();
+  twin.init_all();
+  const TrustedNode& node = cluster.hosts[0]->trusted();
+  const auto n_items = static_cast<data::ItemId>(node.model().item_count());
+  auto inbox = cluster.transport.drain_inbox(0);
+  ASSERT_EQ(inbox.size(), 2u);
+  const ProtocolPayload genuine =
+      ProtocolPayload::decode(inbox[0].payload.view());
+  ASSERT_FALSE(genuine.ratings.empty());
+  std::vector<data::Rating> tainted = genuine.ratings;
+  tainted.push_back({genuine.ratings[0].user, n_items, 4.0f});
+
+  const std::vector<data::Rating> store(node.store().begin(),
+                                        node.store().end());
+  const EpochCounters counters = node.last_epoch();
+  EXPECT_THROW(cluster.hosts[0]->on_deliver(with_ratings(inbox[0], tainted)),
+               Error);
+  EXPECT_EQ(std::vector<data::Rating>(node.store().begin(),
+                                      node.store().end()),
+            store);
+  EXPECT_EQ(node.last_epoch().ratings_appended, counters.ratings_appended);
+  EXPECT_EQ(node.epochs_completed(), 1u);
+  // The rejected payload's round is still open: the other neighbor's
+  // share alone does not complete it.
+  cluster.hosts[0]->on_deliver(inbox[1]);
+  EXPECT_EQ(node.epochs_completed(), 1u);
+  cluster.hosts[0]->on_deliver(inbox[0]);
+  ASSERT_EQ(node.epochs_completed(), 2u);
+
+  for (const net::Envelope& env : twin.transport.drain_inbox(0)) {
+    twin.hosts[0]->on_deliver(env);
+  }
+  const TrustedNode& reference = twin.hosts[0]->trusted();
+  ASSERT_EQ(reference.epochs_completed(), 2u);
+  EXPECT_EQ(std::vector<data::Rating>(node.store().begin(),
+                                      node.store().end()),
+            std::vector<data::Rating>(reference.store().begin(),
+                                      reference.store().end()));
+  const EpochCounters& got = node.last_epoch();
+  const EpochCounters& want = reference.last_epoch();
+  EXPECT_EQ(got.ratings_appended, want.ratings_appended);
+  EXPECT_EQ(got.duplicates_dropped, want.duplicates_dropped);
+  EXPECT_EQ(got.bytes_deserialized, want.bytes_deserialized);
+  EXPECT_EQ(got.store_size, want.store_size);
+  EXPECT_EQ(got.memory_bytes, want.memory_bytes);
+  EXPECT_EQ(got.rmse, want.rmse);
+
+  // The local partition is checked the same way at ecall_init.
+  Cluster fresh(3, raw_dpsgd_native());
+  TrustedInit init;
+  init.local_train = fresh.shards[0].train;
+  init.local_train.push_back({0, n_items, 4.0f});
+  init.neighbors = fresh.neighbors_of(0);
+  EXPECT_THROW(fresh.hosts[0]->initialize(std::move(init)), Error);
+}
+
+TEST(RexProtocol, CellIdsReachTheLargestUserThatFits) {
+  // With 2^16 items, user 65,535's cells end at 2^32 - 1 and user 65,536's
+  // would start at 2^32: the first is the largest user the 32-bit filter
+  // can key, the second is refused whatever its item.
+  constexpr data::ItemId kItems = 1u << 16;
+  constexpr data::UserId kLast = kItems - 1;
+  data::SyntheticConfig dcfg = Cluster::default_data(3, 5);
+  dcfg.n_items = kItems;
+  Cluster cluster(3, raw_dpsgd_native(), 5, dcfg, kItems + 2);
+  cluster.init_all();
+  const TrustedNode& node = cluster.hosts[0]->trusted();
+  auto inbox = cluster.transport.drain_inbox(0);
+  ASSERT_EQ(inbox.size(), 2u);
+  std::sort(inbox.begin(), inbox.end(),
+            [](const net::Envelope& x, const net::Envelope& y) {
+              return x.src < y.src;
+            });
+
+  EXPECT_THROW(cluster.hosts[0]->on_deliver(
+                   with_ratings(inbox[0], {{kLast + 1, 0, 4.0f}})),
+               Error);
+  // Cells 2^32 - 1 (the last user's last item) and 0 (user 0, item 0)
+  // stay distinct from each other and from their row and column
+  // neighbours; each lands once.
+  const data::Rating top{kLast, kItems - 1, 1.0f};
+  const data::Rating zero{0, 0, 2.0f};
+  const data::Rating row{kLast, 0, 3.0f};
+  const data::Rating column{0, kItems - 1, 4.0f};
+  const data::Rating next{kLast - 1, kItems - 1, 5.0f};
+  std::vector<data::Rating> expected;
+  std::set<std::pair<data::UserId, data::ItemId>> held;
+  for (const data::Rating& r : node.store()) held.insert({r.user, r.item});
+  const std::vector<data::Rating> first = {top, zero, row, top};
+  const std::vector<data::Rating> second = {column, zero, next, row};
+  for (const auto* batch : {&first, &second}) {
+    for (const data::Rating& r : *batch) {
+      if (held.insert({r.user, r.item}).second) expected.push_back(r);
+    }
+  }
+  const std::size_t before = node.store_size();
+  cluster.hosts[0]->on_deliver(with_ratings(inbox[0], first));
+  cluster.hosts[0]->on_deliver(with_ratings(inbox[1], second));
+  ASSERT_EQ(node.epochs_completed(), 2u);
+  const auto grown = node.store().subspan(before);
+  EXPECT_EQ(std::vector<data::Rating>(grown.begin(), grown.end()), expected);
+  EXPECT_EQ(node.last_epoch().ratings_appended, expected.size());
+  EXPECT_EQ(node.last_epoch().duplicates_dropped,
+            first.size() + second.size() - expected.size());
 }
 
 namespace {

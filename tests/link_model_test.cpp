@@ -102,10 +102,10 @@ TEST(LinkModel, SymmetricAndRegionConsistent) {
     EXPECT_LT(links.region(u), links.params().regions);
     for (const graph::NodeId v : g.neighbors(u)) {
       EXPECT_EQ(links.latency(u, v).seconds, links.latency(v, u).seconds);
-      EXPECT_EQ(links.bandwidth(u, v), links.bandwidth(v, u));
+      // One edge id per pair: both directions share its bandwidth.
       EXPECT_EQ(links.edge_id(u, v), links.edge_id(v, u));
       EXPECT_GT(links.latency(u, v).seconds, 0.0);
-      EXPECT_GE(links.bandwidth(u, v),
+      EXPECT_GE(links.edge_bandwidth_bytes_per_s(links.edge_id(u, v)),
                 links.params().min_bandwidth_bytes_per_s);
     }
   }

@@ -1,6 +1,6 @@
 // Unit tests for the support kernel: bytes/hex, RNG determinism and
 // distribution sanity, simulated time, thread pool correctness, and the
-// FlatSet64 duplicate filter.
+// FlatSet32 duplicate filter.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,7 @@
 
 #include "support/bytes.hpp"
 #include "support/error.hpp"
-#include "support/flat_set64.hpp"
+#include "support/flat_set32.hpp"
 #include "support/rng.hpp"
 #include "support/sim_clock.hpp"
 #include "support/thread_pool.hpp"
@@ -165,50 +165,21 @@ TEST(SimTime, Formatting) {
   EXPECT_EQ(format_time(SimTime{600.0}), "10.0 min");
 }
 
-TEST(ThreadPool, RunsAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, HandlesEmptyAndTinyRanges) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  pool.parallel_for(0, [&](std::size_t) { count++; });
-  EXPECT_EQ(count.load(), 0);
-  pool.parallel_for(1, [&](std::size_t) { count++; });
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(3);
   std::atomic<long> total{0};
   for (int batch = 0; batch < 50; ++batch) {
-    pool.parallel_for(100, [&](std::size_t i) {
+    pool.parallel_shards(100, [&](std::size_t i) {
       total += static_cast<long>(i);
     });
   }
   EXPECT_EQ(total.load(), 50L * (99 * 100 / 2));
 }
 
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(10,
-                                 [&](std::size_t i) {
-                                   if (i == 7) throw Error("boom");
-                                 }),
-               Error);
-  // Pool must still be usable afterwards.
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t) { count++; });
-  EXPECT_EQ(count.load(), 10);
-}
-
 TEST(ThreadPool, SingleThreadFallback) {
   ThreadPool pool(1);
   std::vector<int> order;
-  pool.parallel_for(5, [&](std::size_t i) {
+  pool.parallel_shards(5, [&](std::size_t i) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -249,79 +220,77 @@ TEST(ThreadPool, ShardsPropagateExceptionsAndStayUsable) {
   std::atomic<int> count{0};
   pool.parallel_shards(10, [&](std::size_t) { count++; });
   EXPECT_EQ(count.load(), 10);
-  // parallel_for and parallel_shards interleave on the same pool.
-  pool.parallel_for(10, [&](std::size_t) { count++; });
-  EXPECT_EQ(count.load(), 20);
 }
 
-// ===== FlatSet64 (the raw-data store's duplicate filter) =====
+// ===== FlatSet32 (the raw-data store's duplicate filter) =====
 
 /// The results of insert_batch over `keys`, in order.
-std::vector<bool> batch_insert(FlatSet64& set,
-                               const std::vector<std::uint64_t>& keys) {
+std::vector<bool> batch_insert(FlatSet32& set,
+                               const std::vector<std::uint32_t>& keys) {
   std::vector<bool> results;
   set.insert_batch(
-      keys, [](std::uint64_t key) { return key; },
-      [&](std::uint64_t, bool inserted) { results.push_back(inserted); });
+      keys, [](std::uint32_t key) { return key; },
+      [&](std::uint32_t, bool inserted) { results.push_back(inserted); });
   return results;
 }
 
-/// A key shaped like TrustedNode::pair_key: user high, item low.
-std::uint64_t pair(std::uint64_t user, std::uint64_t item) {
-  return (user << 32) | item;
+/// A cell id as TrustedNode::cell_id forms it, at the Table II catalogue
+/// of 9,000 items: user x 9,000 + item.
+std::uint32_t cell(std::uint32_t user, std::uint32_t item) {
+  return user * 9000u + item;
 }
 
-TEST(FlatSet64, MembershipAndSize) {
-  FlatSet64 set;
+TEST(FlatSet32, MembershipAndSize) {
+  FlatSet32 set;
   EXPECT_EQ(set.size(), 0u);
   EXPECT_EQ(set.capacity(), 0u);
-  EXPECT_FALSE(set.contains(pair(1, 2)));
-  EXPECT_TRUE(set.insert(pair(1, 2)));
-  EXPECT_FALSE(set.insert(pair(1, 2)));
-  EXPECT_TRUE(set.insert(pair(2, 1)));
-  EXPECT_TRUE(set.contains(pair(1, 2)));
-  EXPECT_TRUE(set.contains(pair(2, 1)));
-  EXPECT_FALSE(set.contains(pair(1, 1)));
+  EXPECT_FALSE(set.contains(cell(1, 2)));
+  EXPECT_TRUE(set.insert(cell(1, 2)));
+  EXPECT_FALSE(set.insert(cell(1, 2)));
+  EXPECT_TRUE(set.insert(cell(2, 1)));
+  EXPECT_TRUE(set.contains(cell(1, 2)));
+  EXPECT_TRUE(set.contains(cell(2, 1)));
+  EXPECT_FALSE(set.contains(cell(1, 1)));
   EXPECT_EQ(set.size(), 2u);
   set.clear();
   EXPECT_EQ(set.size(), 0u);
-  EXPECT_FALSE(set.contains(pair(1, 2)));
-  EXPECT_TRUE(set.insert(pair(1, 2)));
+  EXPECT_FALSE(set.contains(cell(1, 2)));
+  EXPECT_TRUE(set.insert(cell(1, 2)));
 }
 
-TEST(FlatSet64, KeyZeroIsAnOrdinaryMember) {
-  // pair_key(user 0, item 0) is 0, the same bit pattern that marks an
-  // empty slot.
-  FlatSet64 single;
+TEST(FlatSet32, KeyZeroIsAnOrdinaryMember) {
+  // The cell id of (user 0, item 0) is 0, the same bit pattern that marks
+  // an empty slot.
+  FlatSet32 single;
   EXPECT_FALSE(single.contains(0));
   EXPECT_TRUE(single.insert(0));
   EXPECT_FALSE(single.insert(0));
   EXPECT_TRUE(single.contains(0));
   EXPECT_EQ(single.size(), 1u);
-  EXPECT_EQ(batch_insert(single, {pair(0, 1), 0}),
+  EXPECT_EQ(batch_insert(single, {cell(0, 1), 0}),
             (std::vector<bool>{true, false}));
   EXPECT_EQ(single.size(), 2u);
   single.clear();
   EXPECT_FALSE(single.contains(0));
 
-  FlatSet64 batched;
-  EXPECT_EQ(batch_insert(batched, {0, pair(0, 1), 0, pair(0, 1)}),
+  FlatSet32 batched;
+  EXPECT_EQ(batch_insert(batched, {0, cell(0, 1), 0, cell(0, 1)}),
             (std::vector<bool>{true, true, false, false}));
   EXPECT_TRUE(batched.contains(0));
   EXPECT_EQ(batched.size(), 2u);
   EXPECT_FALSE(batched.insert(0));
 }
 
-TEST(FlatSet64, GrowsAtTheMaxLoadOfItsSize) {
+TEST(FlatSet32, GrowsAtTheMaxLoadOfItsSize) {
   // Below kLargeTable slots a table doubles once half full, from it up
   // once 3/4 full.
-  const std::size_t large = FlatSet64::kLargeTable;
-  FlatSet64 set;
-  std::vector<std::uint64_t> keys;
+  const std::size_t large = FlatSet32::kLargeTable;
+  FlatSet32 set;
+  std::vector<std::uint32_t> keys;
   std::size_t growth_steps = 0;
-  for (std::uint64_t n = 0; n < 49152; ++n) {
+  for (std::uint32_t n = 0; n < 49152; ++n) {
     const std::size_t cap_before = set.capacity();
-    keys.push_back(pair(n % 610, n / 610));
+    keys.push_back(cell(n % 610, n / 610));
     ASSERT_TRUE(set.insert(keys.back()));
     const std::size_t cap = set.capacity();
     if (cap >= large) {
@@ -342,62 +311,64 @@ TEST(FlatSet64, GrowsAtTheMaxLoadOfItsSize) {
       ASSERT_EQ(cap, cap_before * 2);
       ASSERT_EQ(n * 2, cap_before);
     }
-    for (std::uint64_t key : keys) ASSERT_TRUE(set.contains(key)) << key;
-    ASSERT_FALSE(set.contains(pair(n % 610, 1000)));
+    for (std::uint32_t key : keys) ASSERT_TRUE(set.contains(key)) << key;
+    ASSERT_FALSE(set.contains(cell(n % 610, 1000)));
   }
   EXPECT_EQ(set.capacity(), 65536u);  // full: 49,152 = 3/4 of 65,536
   EXPECT_EQ(growth_steps, 13u);       // 0 -> 16 -> ... -> 65,536
 }
 
-TEST(FlatSet64, ReserveMatchesTheLoadBound) {
+TEST(FlatSet32, ReserveMatchesTheLoadBound) {
   // Either side of both bounds: 1/2 up to 4,096 slots, 3/4 from 8,192.
   for (std::size_t expected :
        {1u, 8u, 9u, 2048u, 2049u, 6144u, 6145u, 37000u, 49152u, 49153u}) {
-    FlatSet64 reserved;
+    FlatSet32 reserved;
     reserved.reserve(expected);
     const std::size_t cap = reserved.capacity();
-    FlatSet64 grown;
-    for (std::uint64_t n = 0; n < expected; ++n) {
-      reserved.insert(pair(n, 1));
-      grown.insert(pair(n, 1));
+    FlatSet32 grown;
+    for (std::uint32_t n = 0; n < expected; ++n) {
+      reserved.insert(cell(n, 1));
+      grown.insert(cell(n, 1));
     }
     // reserve() picked the smallest table that per-key growth reaches,
     // and the inserts after it never grew.
     EXPECT_EQ(cap, grown.capacity()) << expected;
     EXPECT_EQ(reserved.capacity(), cap) << expected;
   }
-  FlatSet64 none;
+  FlatSet32 none;
   none.reserve(0);
   EXPECT_EQ(none.capacity(), 16u);
-  FlatSet64 small;
+  FlatSet32 small;
   small.reserve(2049);
   EXPECT_EQ(small.capacity(), 8192u);  // 4,096 slots hold 2,048 at 1/2
   // A Table II store: about 37k ratings index into 2^16 slots.
-  FlatSet64 store;
+  FlatSet32 store;
   store.reserve(37000);
   EXPECT_EQ(store.capacity(), 65536u);
 }
 
-TEST(FlatSet64, BatchReturnsWhatPerKeyInsertsWould) {
+TEST(FlatSet32, BatchReturnsWhatPerKeyInsertsWould) {
   Rng rng(11);
-  const std::size_t d = FlatSet64::kPrefetchDistance;
+  const std::size_t d = FlatSet32::kPrefetchDistance;
   // Empty, shorter than, at and just past the prefetch distance, then
   // batches long enough to grow the table mid-batch.
   const std::vector<std::size_t> sizes = {0, 1, d - 1, d, d + 1, 2 * d + 3,
                                           300, 5000};
-  FlatSet64 batched;
-  FlatSet64 reference;
+  FlatSet32 batched;
+  FlatSet32 reference;
   std::size_t grew_mid_batch = 0;
-  for (std::uint64_t round = 0; round < 6; ++round) {
+  for (std::uint32_t round = 0; round < 6; ++round) {
     for (std::size_t n : sizes) {
       // 8 users x a growing item range: repeats within and across batches
       // are common, and key 0 (user 0, item 0) comes up.
-      std::vector<std::uint64_t> keys(n);
-      for (std::uint64_t& key : keys) {
-        key = pair(rng.uniform(8), rng.uniform(1000 * (round + 1)));
+      std::vector<std::uint32_t> keys(n);
+      for (std::uint32_t& key : keys) {
+        key = cell(static_cast<std::uint32_t>(rng.uniform(8)),
+                   static_cast<std::uint32_t>(
+                       rng.uniform(1000 * (round + 1))));
       }
       std::vector<bool> expected;
-      for (std::uint64_t key : keys) expected.push_back(reference.insert(key));
+      for (std::uint32_t key : keys) expected.push_back(reference.insert(key));
       const std::size_t cap_before = batched.capacity();
       ASSERT_EQ(batch_insert(batched, keys), expected)
           << "round " << round << ", batch of " << n;
@@ -410,10 +381,10 @@ TEST(FlatSet64, BatchReturnsWhatPerKeyInsertsWould) {
   }
   EXPECT_GT(grew_mid_batch, 0u);
   EXPECT_TRUE(reference.contains(0));
-  for (std::uint64_t user = 0; user < 8; ++user) {
-    for (std::uint64_t item = 0; item < 6000; ++item) {
-      ASSERT_EQ(batched.contains(pair(user, item)),
-                reference.contains(pair(user, item)));
+  for (std::uint32_t user = 0; user < 8; ++user) {
+    for (std::uint32_t item = 0; item < 6000; ++item) {
+      ASSERT_EQ(batched.contains(cell(user, item)),
+                reference.contains(cell(user, item)));
     }
   }
 }
