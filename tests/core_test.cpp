@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "core/payload.hpp"
 #include "core/untrusted_host.hpp"
@@ -687,6 +689,173 @@ TEST(RexSgx, SgxAndNativeLearnIdentically) {
   for (NodeId id = 0; id < 3; ++id) {
     EXPECT_DOUBLE_EQ(native.hosts[id]->trusted().last_rmse(),
                      sgx.hosts[id]->trusted().last_rmse());
+  }
+}
+
+// ===== The rejection rule (DESIGN.md §8 "Byzantine accounting") =====
+
+/// What a rejected delivery must leave untouched on its receiver: the
+/// store, the last epoch's counters, the epoch count, the slots (read
+/// through round_ready and the pending buffers' share of memory) and
+/// every discard counter. The runtime still charges the ecall: the bytes
+/// did cross the boundary.
+struct Observed {
+  std::vector<data::Rating> store;
+  std::vector<double> last_epoch;
+  std::uint64_t epochs = 0;
+  bool round_ready = false;
+  std::size_t memory = 0;
+  std::uint64_t tampered = 0;
+  std::uint64_t replays = 0;
+  std::uint64_t discarded_rekey = 0;
+  std::uint64_t resync_discarded = 0;
+  std::uint64_t skipped_unattested = 0;
+  std::uint64_t plaintext_sent = 0;
+  bool operator==(const Observed&) const = default;
+};
+
+Observed observe(const TrustedNode& node) {
+  const EpochCounters& c = node.last_epoch();
+  Observed o;
+  o.store.assign(node.store().begin(), node.store().end());
+  o.last_epoch = {static_cast<double>(c.epoch),
+                  static_cast<double>(c.models_merged),
+                  static_cast<double>(c.merged_params),
+                  static_cast<double>(c.ratings_appended),
+                  static_cast<double>(c.duplicates_dropped),
+                  static_cast<double>(c.bytes_deserialized),
+                  static_cast<double>(c.sgd_samples),
+                  static_cast<double>(c.model_params),
+                  static_cast<double>(c.messages_sent),
+                  static_cast<double>(c.bytes_serialized),
+                  static_cast<double>(c.ratings_shared),
+                  static_cast<double>(c.bytes_saved_compression),
+                  static_cast<double>(c.test_predictions),
+                  c.rmse,
+                  static_cast<double>(c.store_size),
+                  static_cast<double>(c.memory_bytes)};
+  o.epochs = node.epochs_completed();
+  o.round_ready = node.round_ready();
+  o.memory = node.memory_footprint();
+  o.tampered = node.tampered_rejected();
+  o.replays = node.replays_rejected();
+  o.discarded_rekey = node.inputs_discarded_rekey();
+  o.resync_discarded = node.resync_discarded();
+  o.skipped_unattested = node.shares_skipped_unattested();
+  o.plaintext_sent = node.plaintext_shares_sent();
+  return o;
+}
+
+/// One rejection ecall_input makes. `prelude` runs on node 0 of a cluster
+/// (and of its twin) right after epoch 0; it gets node 0's round-0
+/// deliveries sorted by sender, delivers or drops what must come first,
+/// and returns the bad envelope. What stays in `inbox` is delivered after.
+struct RejectionCase {
+  const char* name;
+  bool secure;
+  std::function<net::Envelope(Cluster&, std::vector<net::Envelope>&)>
+      prelude;
+  std::uint64_t Observed::*counter;  // the one that counts it when tolerated
+  const char* message;               // the error it raises otherwise
+};
+
+std::vector<RejectionCase> rejection_cases() {
+  return {
+      {"tampered ciphertext", true,
+       [](Cluster&, std::vector<net::Envelope>& inbox) {
+         net::Envelope bad = inbox[0];
+         Bytes tampered = bad.payload.to_bytes();
+         tampered[tampered.size() / 2] ^= 0x01;
+         bad.payload = SharedBytes::wrap(std::move(tampered));
+         return bad;
+       },
+       &Observed::tampered, "tampered payload"},
+      {"re-delivered sealed envelope", true,
+       [](Cluster& c, std::vector<net::Envelope>& inbox) {
+         const net::Envelope first = inbox[0];
+         c.hosts[0]->on_deliver(first);
+         inbox.erase(inbox.begin());
+         return first;
+       },
+       &Observed::replays, "replayed secure payload"},
+      {"stale-key replay after a re-attestation", true,
+       [](Cluster& c, std::vector<net::Envelope>& inbox) {
+         const net::Envelope first = inbox[0];
+         c.hosts[0]->on_deliver(first);
+         inbox.erase(inbox.begin());
+         // Rotates the pair's key: the old one opens only what is in flight.
+         c.hosts[0]->trusted().heal_attestation(first.src);
+         return first;
+       },
+       &Observed::replays, "replayed secure payload"},
+      {"re-sent epoch on a native pair", false,
+       [](Cluster& c, std::vector<net::Envelope>& inbox) {
+         const net::Envelope first = inbox[0];
+         c.hosts[0]->on_deliver(first);
+         inbox.erase(inbox.begin());
+         return first;
+       },
+       &Observed::replays, "duplicate round message from the same neighbor"},
+  };
+}
+
+TEST(RexProtocol, RejectionRuleThrowsOrCountsAndLeavesNoTrace) {
+  for (const RejectionCase& rc : rejection_cases()) {
+    for (const bool tolerate : {false, true}) {
+      SCOPED_TRACE(std::string(rc.name) +
+                   (tolerate ? ", tolerated" : ", fatal"));
+      RexConfig config = rc.secure ? raw_dpsgd_sgx() : raw_dpsgd_native();
+      config.tolerate_byzantine = tolerate;
+      Cluster cluster(3, config);
+      Cluster twin(3, config);
+      std::vector<net::Envelope> bad_inbox;
+      std::vector<net::Envelope> twin_inbox;
+      for (auto [c, inbox] : {std::pair{&cluster, &bad_inbox},
+                              std::pair{&twin, &twin_inbox}}) {
+        if (rc.secure) c->attest_all();
+        c->init_all();
+        *inbox = c->transport.drain_inbox(0);
+        ASSERT_EQ(inbox->size(), 2u);
+        std::sort(inbox->begin(), inbox->end(),
+                  [](const net::Envelope& x, const net::Envelope& y) {
+                    return x.src < y.src;
+                  });
+      }
+      const net::Envelope bad = rc.prelude(cluster, bad_inbox);
+      (void)rc.prelude(twin, twin_inbox);
+
+      const TrustedNode& node = cluster.hosts[0]->trusted();
+      Observed expected = observe(node);
+      if (tolerate) {
+        EXPECT_NO_THROW(cluster.hosts[0]->on_deliver(bad));
+        ++(expected.*rc.counter);
+      } else {
+        try {
+          cluster.hosts[0]->on_deliver(bad);
+          ADD_FAILURE() << "the rejection did not throw";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find(rc.message),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+      EXPECT_TRUE(observe(node) == expected);
+
+      // The sender's genuine payloads still merge: node 0 completes the
+      // open round and the next one (which needs the sender's round-1
+      // share), and ends where the twin that never saw `bad` ends.
+      for (auto [c, inbox] : {std::pair{&cluster, &bad_inbox},
+                              std::pair{&twin, &twin_inbox}}) {
+        for (const net::Envelope& env : *inbox) c->hosts[0]->on_deliver(env);
+        for (int round = 0; round < 3; ++round) {
+          c->run_round(Algorithm::kDpsgd);
+        }
+      }
+      Observed reference = observe(twin.hosts[0]->trusted());
+      EXPECT_GE(reference.epochs, expected.epochs + 2);
+      if (tolerate) ++(reference.*rc.counter);
+      EXPECT_TRUE(observe(node) == reference);
+    }
   }
 }
 
