@@ -62,7 +62,11 @@ void ProtocolPayload::decode_into(BytesView bytes, ProtocolPayload& out) {
     case PayloadKind::kEmpty:
       break;
     case PayloadKind::kRawData: {
+      // Each rating is 12 bytes on the wire (u32 user, u32 item, f32
+      // value): check a crafted count before reserving for it.
       const std::uint64_t count = r.varint();
+      REX_REQUIRE(count <= r.remaining() / 12,
+                  "rating count exceeds the message");
       out.ratings.reserve(count);
       for (std::uint64_t i = 0; i < count; ++i) {
         data::Rating rating;

@@ -20,6 +20,35 @@ Bytes& plaintext_scratch() {
   return plaintext;
 }
 
+/// The rejection rule (DESIGN.md §8 "Byzantine accounting"): true when an
+/// input `passed` its check. A failed input is an engine bug in a benign
+/// run and aborts it with `message`; under RexConfig::tolerate_byzantine it
+/// is a malicious peer's doing, counted in `rejected` for the caller to
+/// discard, as a deployed node must.
+bool admitted(bool passed, bool tolerate, std::uint64_t& rejected,
+              const char* message) {
+  if (passed) return true;
+  REX_REQUIRE(tolerate, message);
+  ++rejected;
+  return false;
+}
+
+/// AAD binding a directed (sender, receiver) pair (DESIGN.md §6).
+std::array<std::uint8_t, 8> frame_aad(NodeId sender, NodeId receiver) {
+  std::array<std::uint8_t, 8> aad{};
+  store_le32(aad.data(), sender);
+  store_le32(aad.data() + 4, receiver);
+  return aad;
+}
+
+/// Splits a framed blob into (seq, ciphertext); false = truncated.
+bool split_frame(BytesView blob, std::uint64_t& seq, BytesView& ciphertext) {
+  if (blob.size() <= sizeof(std::uint64_t)) return false;
+  seq = load_le64(blob.data());
+  ciphertext = blob.subspan(sizeof(std::uint64_t));
+  return true;
+}
+
 }  // namespace
 
 TrustedNode::TrustedNode(const RexConfig& config, NodeId id,
@@ -28,7 +57,7 @@ TrustedNode::TrustedNode(const RexConfig& config, NodeId id,
                          const enclave::QuotingEnclave* quoting_enclave,
                          const enclave::DcapVerifier* verifier,
                          ml::ModelFactory model_factory, std::uint64_t seed,
-                         SendFn send, BufferPool* payload_pool)
+                         SendFn send, BufferPool& payload_pool)
     : config_(config),
       id_(id),
       runtime_(runtime),
@@ -47,15 +76,8 @@ TrustedNode::TrustedNode(const RexConfig& config, NodeId id,
 // ===== Attestation =====
 
 void TrustedNode::start_attestation(const std::vector<NodeId>& neighbors) {
-  neighbors_ = neighbors;
-  std::sort(neighbors_.begin(), neighbors_.end());
-  reset_neighbor_state();
-  for (NodeId peer : neighbors_) {
-    sessions_.emplace(
-        std::piecewise_construct, std::forward_as_tuple(peer),
-        std::forward_as_tuple(id_, peer, identity_, quoting_enclave_,
-                              verifier_, &drbg_));
-  }
+  adopt_neighbors(neighbors);
+  for (NodeId peer : neighbors_) open_session(peer);
   // Each unordered pair handshakes once; the lower id initiates.
   for (NodeId peer : neighbors_) {
     if (id_ < peer) send_attestation(peer, session(peer).initiate());
@@ -118,21 +140,17 @@ void TrustedNode::replace_session(NodeId peer) {
     stale_keys_[peer] = stale;
   }
   sessions_.erase(it);
-  sessions_.emplace(
-      std::piecewise_construct, std::forward_as_tuple(peer),
-      std::forward_as_tuple(id_, peer, identity_, quoting_enclave_,
-                            verifier_, &drbg_));
+  open_session(peer);
+}
+
+void TrustedNode::open_session(NodeId peer) {
+  sessions_.emplace(std::piecewise_construct, std::forward_as_tuple(peer),
+                    std::forward_as_tuple(id_, peer, identity_,
+                                          quoting_enclave_, verifier_,
+                                          &drbg_));
 }
 
 // ===== Explicit-sequence AEAD framing (DESIGN.md §6) =====
-
-std::array<std::uint8_t, 8> TrustedNode::frame_aad(NodeId sender,
-                                                   NodeId receiver) {
-  std::array<std::uint8_t, 8> aad{};
-  store_le32(aad.data(), sender);
-  store_le32(aad.data() + 4, receiver);
-  return aad;
-}
 
 SharedBytes TrustedNode::seal_framed(enclave::AttestationSession& session,
                                      NodeId peer, bool resync_plane,
@@ -143,22 +161,12 @@ SharedBytes TrustedNode::seal_framed(enclave::AttestationSession& session,
   const crypto::ChaChaNonce nonce = resync_plane
                                         ? session.resync_send_nonce_for(seq)
                                         : session.send_nonce_for(seq);
-  Bytes wire = payload_pool_ != nullptr ? payload_pool_->acquire() : Bytes{};
+  Bytes wire = payload_pool_.acquire();
   wire.resize(sizeof seq);
   store_le64(wire.data(), seq);
   crypto::aead_seal_into(session.session_key(), nonce, frame_aad(id_, peer),
                          plaintext, wire);
-  return payload_pool_ != nullptr
-             ? SharedBytes::pooled(*payload_pool_, std::move(wire))
-             : SharedBytes::wrap(std::move(wire));
-}
-
-bool TrustedNode::split_frame(BytesView blob, std::uint64_t& seq,
-                              BytesView& ciphertext) {
-  if (blob.size() <= sizeof(std::uint64_t)) return false;
-  seq = load_le64(blob.data());
-  ciphertext = blob.subspan(sizeof(std::uint64_t));
-  return true;
+  return SharedBytes::pooled(payload_pool_, std::move(wire));
 }
 
 // ===== Rejoin (DESIGN.md §6) =====
@@ -196,42 +204,25 @@ void TrustedNode::maybe_send_resync_request(NodeId peer) {
       std::find(resync_pending_.begin(), resync_pending_.end(), peer);
   if (it == resync_pending_.end()) return;
   resync_pending_.erase(it);
-  ProtocolPayload request;
-  request.epoch = epoch_;
-  request.sender_degree = static_cast<std::uint32_t>(neighbors_.size());
+  ProtocolPayload request = payload_header(PayloadKind::kResyncRequest);
   request.resync_gen = rejoin_gen_;
-  request.kind = PayloadKind::kResyncRequest;
   send_resync(peer, request);
   ++resync_awaited_;
 }
 
 void TrustedNode::send_resync(NodeId peer, const ProtocolPayload& payload) {
-  Bytes plaintext =
-      payload.encode(payload_pool_ ? payload_pool_->acquire() : Bytes{});
-  if (runtime_.secure()) {
-    REX_REQUIRE(attested_with(peer), "resync with unattested peer");
-    SharedBytes wire = seal_framed(session(peer), peer,
-                                   /*resync_plane=*/true, plaintext);
-    runtime_.record_crypto(wire.size());
-    runtime_.record_ocall(wire.size());
-    send_(peer, net::MessageKind::kResync, std::move(wire));
-    if (payload_pool_ != nullptr) payload_pool_->release(std::move(plaintext));
-    return;
-  }
-  runtime_.record_ocall(plaintext.size());
-  ++plaintext_shares_sent_;  // native wire is plaintext (invariant audit)
-  const SharedBytes wire =
-      payload_pool_ != nullptr
-          ? SharedBytes::pooled(*payload_pool_, std::move(plaintext))
-          : SharedBytes::wrap(std::move(plaintext));
-  send_(peer, net::MessageKind::kResync, wire);
+  REX_REQUIRE(!runtime_.secure() || attested_with(peer),
+              "resync with unattested peer");
+  (void)send_payload(std::span<const NodeId>(&peer, 1),
+                     net::MessageKind::kResync,
+                     payload.encode(payload_pool_.acquire()));
 }
 
 void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
   REX_REQUIRE(initialized_, "resync message before ecall_init");
   runtime_.record_ecall(blob.size());
   (void)neighbor_index(src);  // resync only flows between neighbors
-  PendingInput input = acquire_input();  // recycled decode target
+  BytesView plaintext = blob;
   if (runtime_.secure()) {
     // Resync is authenticated-or-ignored: a message that does not verify
     // under the current attested session was sealed under a session that a
@@ -242,31 +233,26 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
     BytesView ciphertext;
     if (!attested_with(src) || !split_frame(blob, seq, ciphertext)) {
       ++resync_discarded_;
-      input_pool_.push_back(std::move(input));
       return;
     }
     auto& sess = session(src);
     runtime_.record_crypto(blob.size());
-    Bytes& plaintext = plaintext_scratch();
+    Bytes& opened = plaintext_scratch();
     if (!crypto::aead_open_into(sess.session_key(),
                                 sess.resync_recv_nonce_for(seq),
-                                frame_aad(src, id_), ciphertext, plaintext) ||
+                                frame_aad(src, id_), ciphertext, opened) ||
         !sess.accept_resync_recv_sequence(seq)) {
       ++resync_discarded_;
-      input_pool_.push_back(std::move(input));
       return;
     }
-    ProtocolPayload::decode_into(plaintext, input.payload);
-  } else {
-    ProtocolPayload::decode_into(blob, input.payload);
+    plaintext = opened;
   }
+  PendingInput input = acquire_input();  // recycled decode target
+  ProtocolPayload::decode_into(plaintext, input.payload);
 
   if (input.payload.kind == PayloadKind::kResyncRequest) {
     // Serve the current model so the rejoiner re-enters the pipeline warm.
-    ProtocolPayload reply;
-    reply.kind = PayloadKind::kResyncModel;
-    reply.epoch = epoch_;
-    reply.sender_degree = static_cast<std::uint32_t>(neighbors_.size());
+    ProtocolPayload reply = payload_header(PayloadKind::kResyncModel);
     reply.resync_gen = input.payload.resync_gen;  // correlate to the rejoin
     reply.model_blob = model_->serialize();
     resync_model_bytes_sent_ += reply.model_blob.size();
@@ -294,10 +280,7 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
   } else {
     REX_REQUIRE(false, "non-resync payload on the resync path");
   }
-
-  input.payload.ratings.clear();
-  input.payload.model_blob.clear();
-  input_pool_.push_back(std::move(input));
+  recycle(std::move(input));
 }
 
 enclave::AttestationSession& TrustedNode::session(NodeId peer) {
@@ -313,7 +296,22 @@ std::size_t TrustedNode::neighbor_index(NodeId src) const {
   return static_cast<std::size_t>(it - neighbors_.begin());
 }
 
-void TrustedNode::reset_neighbor_state() {
+TrustedNode::PendingInput TrustedNode::acquire_input() {
+  if (input_pool_.empty()) return PendingInput{};
+  PendingInput input = std::move(input_pool_.back());
+  input_pool_.pop_back();
+  return input;
+}
+
+void TrustedNode::recycle(PendingInput&& input) {
+  input.payload.ratings.clear();
+  input.payload.model_blob.clear();
+  input_pool_.push_back(std::move(input));
+}
+
+void TrustedNode::adopt_neighbors(const std::vector<NodeId>& neighbors) {
+  neighbors_ = neighbors;
+  std::sort(neighbors_.begin(), neighbors_.end());
   slots_.assign(neighbors_.size(), NeighborSlot{});
   filled_slots_ = 0;
 }
@@ -376,15 +374,12 @@ void TrustedNode::ecall_init(TrustedInit init) {
   test_data_ = std::move(init.local_test);
   if (neighbors_.empty() && !init.neighbors.empty()) {
     // Attestation may be skipped in native mode; adopt the neighbor list.
-    neighbors_ = init.neighbors;
-    std::sort(neighbors_.begin(), neighbors_.end());
-    reset_neighbor_state();
+    adopt_neighbors(init.neighbors);
   }
   initialized_ = true;
-  update_memory_accounting();
+  runtime_.set_resident(memory_footprint());
 
   // Algorithm 2 line 4: epoch 0 on the initial data.
-  counters_ = EpochCounters{};
   rex_protocol();
 }
 
@@ -416,8 +411,7 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   // Algorithm 2 lines 6-11: identify the source; decrypt if a session
   // exists, otherwise the message should have been an attestation one.
   const std::size_t slot = neighbor_index(src);
-  PendingInput input = acquire_input();  // recycled decode target
-  std::size_t plaintext_size = 0;
+  BytesView plaintext = blob;
   if (runtime_.secure()) {
     auto& sess = session(src);
     runtime_.record_crypto(blob.size());
@@ -428,84 +422,58 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
     BytesView ciphertext;
     REX_REQUIRE(split_frame(blob, seq, ciphertext),
                 "truncated secure payload");
+    const auto stale = stale_keys_.find(src);
+    REX_REQUIRE(sess.attested() || stale != stale_keys_.end(),
+                "protocol message from unattested peer");  // fail closed
     const std::array<std::uint8_t, 8> aad = frame_aad(src, id_);
     // Current session first, then the stale key a re-attestation left
     // behind — the message may have been sealed before the sender learned
-    // of the rejoin. No session and no stale key = fail closed, as before.
-    Bytes& plaintext = plaintext_scratch();
-    bool opened = false;
-    bool from_stale = false;
-    if (sess.attested()) {
-      opened = crypto::aead_open_into(sess.session_key(),
-                                      sess.recv_nonce_for(seq), aad,
-                                      ciphertext, plaintext);
-    }
-    if (!opened) {
-      const auto stale = stale_keys_.find(src);
-      if (stale != stale_keys_.end()) {
-        const crypto::ChaChaNonce nonce = crypto::nonce_from_sequence(
-            seq, src < id_ ? 0u : 1u);  // same direction rule as the session
-        opened = crypto::aead_open_into(stale->second.key, nonce, aad,
-                                        ciphertext, plaintext);
-        from_stale = opened;
-      }
-    }
-    REX_REQUIRE(sess.attested() || stale_keys_.count(src) != 0,
-                "protocol message from unattested peer");  // fail closed
-    if (!opened) {
+    // of the rejoin.
+    Bytes& opened = plaintext_scratch();
+    bool authentic =
+        sess.attested() &&
+        crypto::aead_open_into(sess.session_key(), sess.recv_nonce_for(seq),
+                               aad, ciphertext, opened);
+    StaleKey* from_stale = nullptr;
+    if (!authentic && stale != stale_keys_.end()) {
       // Once this pair's keys have rotated (a rejoin replaced the session),
       // an unopenable message is a churn race, not tampering: sealed under
       // a key more than one rotation old, or under a half-open handshake's
       // new key this side has not derived yet. Real rotating-key systems
-      // drop exactly these; never process unauthenticated bytes. Without
-      // any rotation the hard tamper failure stands.
-      if (stale_keys_.count(src) != 0) {
+      // drop exactly these; never process unauthenticated bytes.
+      const crypto::ChaChaNonce nonce = crypto::nonce_from_sequence(
+          seq, src < id_ ? 0u : 1u);  // same direction rule as the session
+      if (!crypto::aead_open_into(stale->second.key, nonce, aad, ciphertext,
+                                  opened)) {
         ++inputs_discarded_rekey_;
-        input_pool_.push_back(std::move(input));
         return;
       }
-      if (config_.tolerate_byzantine) {
-        // Byzantine tolerance (DESIGN.md §8): with no key rotation to blame,
-        // an unopenable payload *is* tampering — count and discard instead
-        // of aborting, as a deployed node facing a malicious peer must.
-        ++tampered_rejected_;
-        input_pool_.push_back(std::move(input));
-        return;
-      }
-      REX_REQUIRE(opened,
-                  "authenticated decryption failed: tampered payload");
+      authentic = true;
+      from_stale = &stale->second;
+    }
+    // With no key rotation to blame, an unopenable payload *is* tampering.
+    if (!admitted(authentic, config_.tolerate_byzantine, tampered_rejected_,
+                  "authenticated decryption failed: tampered payload")) {
+      return;
     }
     // Stream-level replay rejection: a position at or below the watermark
     // was already consumed (checked only after the AEAD verified, so
     // garbage cannot move the watermark).
-    if (from_stale) {
-      StaleKey& stale = stale_keys_.find(src)->second;
-      if (config_.tolerate_byzantine && seq < stale.recv_sequence) {
-        ++replays_rejected_;  // count-and-discard (DESIGN.md §8)
-        input_pool_.push_back(std::move(input));
-        return;
-      }
-      REX_REQUIRE(seq >= stale.recv_sequence, "replayed secure payload");
-      stale.recv_sequence = seq + 1;
-    } else if (config_.tolerate_byzantine) {
-      // accept_recv_sequence advances the watermark on success, so it is
-      // called exactly once on either branch structure.
-      if (!sess.accept_recv_sequence(seq)) {
-        ++replays_rejected_;  // count-and-discard (DESIGN.md §8)
-        input_pool_.push_back(std::move(input));
-        return;
-      }
-    } else {
-      REX_REQUIRE(sess.accept_recv_sequence(seq), "replayed secure payload");
+    const bool fresh = from_stale != nullptr
+                           ? seq >= from_stale->recv_sequence
+                           : sess.accept_recv_sequence(seq);
+    if (!admitted(fresh, config_.tolerate_byzantine, replays_rejected_,
+                  "replayed secure payload")) {
+      return;
     }
-    plaintext_size = plaintext.size();
-    ProtocolPayload::decode_into(plaintext, input.payload);
-  } else {
-    // Native runs decode straight off the (shared, immutable) wire buffer —
-    // no plaintext staging copy per delivery.
-    plaintext_size = blob.size();
-    ProtocolPayload::decode_into(blob, input.payload);
+    if (from_stale != nullptr) from_stale->recv_sequence = seq + 1;
+    plaintext = opened;
   }
+  // Native runs decode straight off the (shared, immutable) wire buffer —
+  // no plaintext staging copy per delivery.
+  PendingInput input = acquire_input();  // recycled decode target
+  ProtocolPayload::decode_into(plaintext, input.payload);
+
   // Arrivals queue FIFO per neighbor: under event-driven scheduling a fast
   // neighbor may deliver round k+1 while we still wait on a slower one for
   // round k; RMW buffers everything since its last period (§III-C1).
@@ -525,21 +493,16 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   // including of payloads already consumed, which the slot cannot see.
   // Merging one would silently double-weight (RMW) or permanently skew
   // (D-PSGD) that neighbor's stream. Checked before the depth cap so a
-  // replay is reported as what it is.
+  // replay is reported as what it is; in native runs (no AEAD sequence
+  // stream) it is the only guard a duplicated envelope hits.
   NeighborSlot& pending = slots_[slot];
-  if (config_.tolerate_byzantine &&
-      pending.watermark >= static_cast<std::int64_t>(input.payload.epoch)) {
-    // The epoch-level replay check: in native runs (no AEAD sequence
-    // stream) this is the only guard a duplicated envelope hits.
-    ++replays_rejected_;  // count-and-discard (DESIGN.md §8)
-    input.payload.ratings.clear();
-    input.payload.model_blob.clear();
-    input_pool_.push_back(std::move(input));
+  if (!admitted(
+          pending.watermark < static_cast<std::int64_t>(input.payload.epoch),
+          config_.tolerate_byzantine, replays_rejected_,
+          "duplicate round message from the same neighbor")) {
+    recycle(std::move(input));
     return;
   }
-  REX_REQUIRE(
-      pending.watermark < static_cast<std::int64_t>(input.payload.epoch),
-      "duplicate round message from the same neighbor");
   if (config_.algorithm == Algorithm::kDpsgd) {
     // Pipelining is provably at most one round deep — a neighbor's round
     // k+2 share needs our round k+1 share, which needs us to consume its
@@ -551,7 +514,7 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
                 "D-PSGD neighbor more than one round ahead: scheduling bug");
   }
   pending.watermark = static_cast<std::int64_t>(input.payload.epoch);
-  pending_bytes_deserialized_ += plaintext_size;  // accepted messages only
+  pending_bytes_deserialized_ += plaintext.size();  // accepted messages only
   input.arrival = arrival_counter_++;
   if (pending.inputs.empty()) ++filled_slots_;
   pending.inputs.push_back(std::move(input));
@@ -598,8 +561,8 @@ void TrustedNode::rex_protocol() {
   test_step();
   counters_.store_size = store_.size();
   counters_.model_params = model_->parameter_count();
-  update_memory_accounting();
   counters_.memory_bytes = memory_footprint();
+  runtime_.set_resident(counters_.memory_bytes);
   ++epoch_;
 }
 
@@ -614,48 +577,24 @@ void TrustedNode::merge_step() {
     // is processed *in place*: a round moves no PendingInput through a
     // staging vector, which profiled as a top merge cost at 10k nodes.
     // Model sharing gathers the Metropolis–Hastings weighted sources first
-    // (§III-C2; the self weight absorbs the remainder), with alien models
-    // materialized into a reusable scratch pool — deserialize overwrites
-    // every field, so recycling clones avoids re-running the (expensive)
-    // random initialization of a factory-fresh model per merge.
+    // (§III-C2; the self weight absorbs the remainder).
     std::vector<ml::MergeSource> sources;
     double neighbor_weight_total = 0.0;
-    std::size_t pool_index = 0;
     for (NeighborSlot& slot : slots_) {
       if (slot.inputs.empty()) continue;
       const ProtocolPayload& payload = slot.inputs.front().payload;
-      if (config_.sharing == SharingMode::kRawData) {
-        // Algorithm 2 line 16: append all non-duplicate alien data items.
-        if (payload.kind == PayloadKind::kRawData ||
-            payload.kind == PayloadKind::kRawDataCompressed) {
-          append_raw_data(payload.ratings);
-        }
-      } else if (payload.kind == PayloadKind::kModel ||
-                 payload.kind == PayloadKind::kModelQuantized) {
-        // The blob self-describes its codec; deserialize dispatches on it.
-        ml::RecModel& alien = alien_scratch(pool_index++);
-        alien.deserialize(payload.model_blob);
+      if (ml::RecModel* alien = merge_payload(payload, sources.size())) {
         const double w = graph::metropolis_hastings_weight(
             neighbors_.size(), payload.sender_degree);
-        sources.push_back(ml::MergeSource{&alien, w});
+        sources.push_back(ml::MergeSource{alien, w});
         neighbor_weight_total += w;
-        counters_.merged_params += alien.parameter_count();
-        ++counters_.models_merged;
       }
+      recycle(std::move(slot.inputs.front()));
+      slot.inputs.erase(slot.inputs.begin());
+      if (slot.inputs.empty()) --filled_slots_;
     }
     if (!sources.empty()) {
       model_->merge(sources, 1.0 - neighbor_weight_total);
-    }
-    // Release the consumed fronts, recycling their buffers as the next
-    // deliveries' decode targets (cleared, capacity kept).
-    for (NeighborSlot& slot : slots_) {
-      if (slot.inputs.empty()) continue;
-      PendingInput input = std::move(slot.inputs.front());
-      slot.inputs.erase(slot.inputs.begin());
-      if (slot.inputs.empty()) --filled_slots_;
-      input.payload.ratings.clear();
-      input.payload.model_blob.clear();
-      input_pool_.push_back(std::move(input));
     }
     return;
   }
@@ -677,39 +616,50 @@ void TrustedNode::merge_step() {
             [](const PendingInput& a, const PendingInput& b) {
               return a.arrival < b.arrival;
             });
-
   for (PendingInput& input : round) {
-    const ProtocolPayload& payload = input.payload;
-    if (config_.sharing == SharingMode::kRawData) {
-      if (payload.kind == PayloadKind::kRawData ||
-          payload.kind == PayloadKind::kRawDataCompressed) {
-        append_raw_data(payload.ratings);
-      }
-    } else if (payload.kind == PayloadKind::kModel ||
-               payload.kind == PayloadKind::kModelQuantized) {
+    if (ml::RecModel* alien = merge_payload(input.payload, 0)) {
       // Pairwise averaging in arrival order (§III-C1).
-      ml::RecModel& alien = alien_scratch(0);
-      alien.deserialize(payload.model_blob);
-      const ml::MergeSource source{&alien, 0.5};
+      const ml::MergeSource source{alien, 0.5};
       model_->merge(std::span<const ml::MergeSource>(&source, 1), 0.5);
-      counters_.merged_params += alien.parameter_count();
-      ++counters_.models_merged;
     }
-  }
-
-  // Recycle the consumed inputs: their ratings/model_blob buffers become
-  // the next deliveries' decode targets (cleared, capacity kept).
-  for (PendingInput& input : round) {
-    input.payload.ratings.clear();
-    input.payload.model_blob.clear();
-    input_pool_.push_back(std::move(input));
+    recycle(std::move(input));
   }
   round.clear();
+}
+
+ml::RecModel* TrustedNode::merge_payload(const ProtocolPayload& payload,
+                                         std::size_t alien_index) {
+  if (config_.sharing == SharingMode::kRawData) {
+    // Algorithm 2 line 16: append all non-duplicate alien data items.
+    if (payload.kind == PayloadKind::kRawData ||
+        payload.kind == PayloadKind::kRawDataCompressed) {
+      append_raw_data(payload.ratings);
+    }
+    return nullptr;
+  }
+  if (payload.kind != PayloadKind::kModel &&
+      payload.kind != PayloadKind::kModelQuantized) {
+    return nullptr;
+  }
+  // The blob self-describes its codec; deserialize dispatches on it.
+  // deserialize overwrites every field, so recycling scratch clones avoids
+  // re-running the (expensive) random initialization of a factory-fresh
+  // model per merge.
+  ml::RecModel& alien = alien_scratch(alien_index);
+  alien.deserialize(payload.model_blob);
+  counters_.merged_params += alien.parameter_count();
+  ++counters_.models_merged;
+  return &alien;
 }
 
 ml::RecModel& TrustedNode::alien_scratch(std::size_t index) {
   while (alien_pool_.size() <= index) alien_pool_.push_back(model_->clone());
   return *alien_pool_[index];
+}
+
+std::uint32_t TrustedNode::cell_id(const data::Rating& r,
+                                   std::uint64_t n_items) {
+  return static_cast<std::uint32_t>(r.user * n_items + r.item);
 }
 
 void TrustedNode::require_cell_ids(std::span<const data::Rating> ratings,
@@ -772,55 +722,57 @@ std::size_t varint_len(std::uint64_t v) {
 void TrustedNode::share_step() {
   if (neighbors_.empty()) return;
   const ProtocolPayload payload = build_share_payload();
-  // Encode once, into recycled pool storage when available; only the
-  // per-peer encryption differs between destinations.
-  Bytes plaintext =
-      payload.encode(payload_pool_ ? payload_pool_->acquire() : Bytes{});
+  // Encode once, into recycled pool storage; only the per-peer encryption
+  // differs between destinations.
+  Bytes plaintext = payload.encode(payload_pool_.acquire());
 
   // Wire-compression savings, per message: what the uncompressed encoding
   // of this share would have cost minus what it actually costs. The header
   // (kind + epoch varint + degree) is identical between the codec pairs,
-  // so whole-plaintext arithmetic is exact.
-  std::size_t saved_per_message = 0;
+  // so whole-plaintext arithmetic is exact; for the other kinds the header
+  // alone never exceeds the plaintext, so nothing is saved.
+  std::size_t plain_size =
+      1 + varint_len(payload.epoch) + sizeof(std::uint32_t);
   if (payload.kind == PayloadKind::kRawDataCompressed) {
-    const std::size_t plain_size =
-        1 + varint_len(payload.epoch) + sizeof(std::uint32_t) +
+    plain_size +=
         varint_len(payload.ratings.size()) + 12 * payload.ratings.size();
-    saved_per_message =
-        plain_size > plaintext.size() ? plain_size - plaintext.size() : 0;
   } else if (payload.kind == PayloadKind::kModelQuantized) {
     const std::size_t blob = model_->wire_size();  // raw-f32 codec size
-    const std::size_t plain_size = 1 + varint_len(payload.epoch) +
-                                   sizeof(std::uint32_t) + varint_len(blob) +
-                                   blob;
-    saved_per_message =
-        plain_size > plaintext.size() ? plain_size - plaintext.size() : 0;
+    plain_size += varint_len(blob) + blob;
   }
+  const std::size_t saved_per_message =
+      plain_size > plaintext.size() ? plain_size - plaintext.size() : 0;
 
-  const std::uint64_t sent_before = counters_.messages_sent;
+  std::span<const NodeId> dsts = neighbors_;  // D-PSGD: all (§III-C2)
   if (config_.algorithm == Algorithm::kRmw) {
     // One uniformly random neighbor (§III-C1).
-    const NodeId dst = neighbors_[rng_.uniform(neighbors_.size())];
-    share_with(std::span<const NodeId>(&dst, 1), std::move(plaintext));
-  } else {
-    // All neighbors (§III-C2).
-    share_with(neighbors_, std::move(plaintext));
+    dsts = dsts.subspan(rng_.uniform(neighbors_.size()), 1);
   }
-  // Count savings only for messages that actually left (secure runs skip
-  // destinations whose session is mid-re-attestation).
-  counters_.bytes_saved_compression +=
-      saved_per_message * (counters_.messages_sent - sent_before);
+  const std::size_t plaintext_size = plaintext.size();
+  const std::size_t sent =
+      send_payload(dsts, net::MessageKind::kProtocol, std::move(plaintext));
+  // Secure runs skip a destination whose session is mid-re-attestation
+  // (the peer is rejoining, DESIGN.md §6): there is no key to seal under
+  // yet, and the rejoiner's resync pull covers the gap. Only messages that
+  // left count, compression savings included.
+  shares_skipped_unattested_ += dsts.size() - sent;
+  counters_.messages_sent += sent;
+  counters_.bytes_serialized += sent * plaintext_size;
+  counters_.bytes_saved_compression += sent * saved_per_message;
+}
+
+ProtocolPayload TrustedNode::payload_header(PayloadKind kind) const {
+  ProtocolPayload payload;
+  payload.kind = kind;
+  payload.epoch = epoch_;
+  payload.sender_degree = static_cast<std::uint32_t>(neighbors_.size());
+  return payload;
 }
 
 ProtocolPayload TrustedNode::build_share_payload() {
-  ProtocolPayload payload;
-  payload.epoch = epoch_;
-  payload.sender_degree = static_cast<std::uint32_t>(neighbors_.size());
+  ProtocolPayload payload = payload_header(PayloadKind::kEmpty);
   if (config_.sharing == SharingMode::kRawData) {
-    if (store_.empty() || config_.data_points_per_epoch == 0) {
-      payload.kind = PayloadKind::kEmpty;
-      return payload;
-    }
+    if (store_.empty() || config_.data_points_per_epoch == 0) return payload;
     // Stateless random sampling with replacement (§III-E): nodes may resend
     // the same items; receivers dedupe.
     payload.kind = config_.compress_raw_data
@@ -843,46 +795,39 @@ ProtocolPayload TrustedNode::build_share_payload() {
   return payload;
 }
 
-void TrustedNode::share_with(std::span<const NodeId> dsts, Bytes plaintext) {
-  if (runtime_.secure()) {
-    // Per-destination ciphertexts: each attested session has its own key
-    // and nonce stream, so zero-copy fan-out stops at the sealing boundary.
-    for (NodeId dst : dsts) {
-      if (!attested_with(dst)) {
-        // Mid-re-attestation (the peer is rejoining, DESIGN.md §6): no key
-        // to seal under yet, so this epoch's share to it is skipped — the
-        // rejoiner's resync pull covers the gap.
-        ++shares_skipped_unattested_;
-        continue;
-      }
-      counters_.bytes_serialized += plaintext.size();
-      // Explicit-sequence framing (DESIGN.md §6): the position travels in
-      // cleartext so a receiver that lost messages to an outage still
-      // derives the right nonce.
-      SharedBytes wire = seal_framed(session(dst), dst,
-                                     /*resync_plane=*/false, plaintext);
-      runtime_.record_crypto(wire.size());
-      runtime_.record_ocall(wire.size());
-      ++counters_.messages_sent;
-      send_(dst, net::MessageKind::kProtocol, std::move(wire));
-    }
-    if (payload_pool_ != nullptr) payload_pool_->release(std::move(plaintext));
-    return;
-  }
+std::size_t TrustedNode::send_payload(std::span<const NodeId> dsts,
+                                      net::MessageKind kind,
+                                      Bytes plaintext) {
+  const bool secure = runtime_.secure();
   // Native runs: the plaintext *is* the wire. One refcounted buffer serves
   // every edge — a share to k neighbors stores its bytes exactly once.
-  const std::size_t plaintext_size = plaintext.size();
-  const SharedBytes wire =
-      payload_pool_ != nullptr
-          ? SharedBytes::pooled(*payload_pool_, std::move(plaintext))
-          : SharedBytes::wrap(std::move(plaintext));
+  // Secure runs seal per destination: each attested session has its own
+  // key and nonce stream, so zero-copy fan-out stops at the sealing
+  // boundary.
+  const SharedBytes plain_wire =
+      secure ? SharedBytes{}
+             : SharedBytes::pooled(payload_pool_, std::move(plaintext));
+  std::size_t sent = 0;
   for (NodeId dst : dsts) {
-    counters_.bytes_serialized += plaintext_size;
+    if (secure && !attested_with(dst)) continue;
+    // Explicit-sequence framing (DESIGN.md §6): the position travels in
+    // cleartext so a receiver that lost messages to an outage still
+    // derives the right nonce.
+    SharedBytes wire =
+        secure ? seal_framed(session(dst), dst,
+                             kind == net::MessageKind::kResync, plaintext)
+               : plain_wire;
+    runtime_.record_crypto(wire.size());  // no-ops in native runs
     runtime_.record_ocall(wire.size());
-    ++counters_.messages_sent;
-    ++plaintext_shares_sent_;  // native wire is plaintext (invariant audit)
-    send_(dst, net::MessageKind::kProtocol, wire);
+    send_(dst, kind, std::move(wire));
+    ++sent;
   }
+  if (secure) {
+    payload_pool_.release(std::move(plaintext));
+  } else {
+    plaintext_shares_sent_ += sent;  // native wire is plaintext (audit)
+  }
+  return sent;
 }
 
 void TrustedNode::test_step() {
@@ -911,10 +856,6 @@ std::size_t TrustedNode::memory_footprint() const {
     }
   }
   return bytes;
-}
-
-void TrustedNode::update_memory_accounting() {
-  runtime_.set_resident(memory_footprint());
 }
 
 }  // namespace rex::core

@@ -45,16 +45,16 @@ class TrustedNode {
   using SendFn =
       std::function<void(NodeId dst, net::MessageKind kind, SharedBytes blob)>;
 
-  /// `payload_pool` (optional) recycles outbound payload storage: encode
-  /// scratch is acquired from it and returns to it when the last envelope
-  /// referencing the blob is consumed.
+  /// `payload_pool` recycles outbound payload storage: encode scratch is
+  /// acquired from it and returns to it when the last envelope referencing
+  /// the blob is consumed.
   TrustedNode(const RexConfig& config, NodeId id,
               enclave::Runtime& runtime,
               const enclave::EnclaveIdentity& identity,
               const enclave::QuotingEnclave* quoting_enclave,
               const enclave::DcapVerifier* verifier,
               ml::ModelFactory model_factory, std::uint64_t seed,
-              SendFn send, BufferPool* payload_pool = nullptr);
+              SendFn send, BufferPool& payload_pool);
 
   // ===== Attestation phase (§III-A) =====
 
@@ -222,12 +222,18 @@ class TrustedNode {
   void share_step();
   void test_step();
 
-  /// Fans one encoded payload out to `dsts`. Native runs wrap the plaintext
-  /// into a single refcounted buffer shared by every edge (zero-copy); SGX
-  /// runs must seal per destination (each session has its own key/nonce
-  /// stream), so only the ciphertexts are per-edge.
-  void share_with(std::span<const NodeId> dsts, Bytes plaintext);
+  /// Sends `plaintext` to `dsts` in order on `kind`'s plane; returns how
+  /// many left. Native runs share one buffer across every edge; secure runs
+  /// seal per attested destination and skip the rest (callers' policy).
+  std::size_t send_payload(std::span<const NodeId> dsts,
+                           net::MessageKind kind, Bytes plaintext);
+  /// A payload of `kind` stamped with this node's epoch and degree.
+  [[nodiscard]] ProtocolPayload payload_header(PayloadKind kind) const;
   [[nodiscard]] ProtocolPayload build_share_payload();
+  /// Merges one consumed payload: raw data into the store, a model into
+  /// alien scratch `alien_index`, returned for the caller's merge rule.
+  ml::RecModel* merge_payload(const ProtocolPayload& payload,
+                              std::size_t alien_index);
   /// Reusable alien-model buffer for merge_step (grown on demand).
   [[nodiscard]] ml::RecModel& alien_scratch(std::size_t index);
   void append_raw_data(const std::vector<data::Rating>& ratings);
@@ -235,16 +241,15 @@ class TrustedNode {
   /// catalogue: its key in the duplicate filter (DESIGN.md §10 "Duplicate
   /// filter"). Valid for ratings that passed require_cell_ids.
   [[nodiscard]] static std::uint32_t cell_id(const data::Rating& r,
-                                             std::uint64_t n_items) {
-    return static_cast<std::uint32_t>(r.user * n_items + r.item);
-  }
+                                             std::uint64_t n_items);
   /// Throws, naming `from` and the first offending (user, item), unless
   /// every rating has a cell id: item < item_count() and
   /// user x item_count() + item < 2^32.
   void require_cell_ids(std::span<const data::Rating> ratings,
                         NodeId from) const;
   [[nodiscard]] enclave::AttestationSession& session(NodeId peer);
-  void update_memory_accounting();
+  /// Opens a fresh (idle) attestation session with `peer`.
+  void open_session(NodeId peer);
 
   /// Tears down the session with `peer` and opens a fresh one, retaining an
   /// attested session's key (+ receive position) as the stale-key fallback
@@ -264,19 +269,13 @@ class TrustedNode {
   // ciphertext], AAD = (sender id, receiver id). Shared by the protocol
   // and resync planes so the framing cannot drift between them; only the
   // failure policy differs at the call sites.
-  /// AAD binding a directed (sender, receiver) pair.
-  [[nodiscard]] static std::array<std::uint8_t, 8> frame_aad(NodeId sender,
-                                                             NodeId receiver);
   /// Seals `plaintext` for `peer`, allocating the next position on the
   /// session's protocol or resync send stream. The frame is written into
-  /// one buffer from the payload pool (when there is one) that returns to
-  /// it once the receiver consumed the envelope.
+  /// one buffer from the payload pool that returns to it once the receiver
+  /// consumed the envelope.
   [[nodiscard]] SharedBytes seal_framed(enclave::AttestationSession& session,
                                         NodeId peer, bool resync_plane,
                                         BytesView plaintext);
-  /// Splits a framed blob into (seq, ciphertext); false = truncated.
-  [[nodiscard]] static bool split_frame(BytesView blob, std::uint64_t& seq,
-                                        BytesView& ciphertext);
 
   RexConfig config_;
   NodeId id_;
@@ -286,7 +285,7 @@ class TrustedNode {
   const enclave::DcapVerifier* verifier_;
   ml::ModelFactory model_factory_;
   SendFn send_;
-  BufferPool* payload_pool_;  // outbound payload recycling (nullable)
+  BufferPool& payload_pool_;  // outbound payload recycling
 
   Rng rng_;             // training / sampling / neighbor choice
   crypto::Drbg drbg_;   // attestation key material
@@ -346,16 +345,14 @@ class TrustedNode {
 
   /// Index of `src` in the sorted neighbors_ list; throws on non-neighbor.
   [[nodiscard]] std::size_t neighbor_index(NodeId src) const;
-  /// (Re)sizes the per-neighbor slot arrays after neighbors_ changes.
-  void reset_neighbor_state();
-  /// Recycled PendingInput (freelist pop or fresh). Inline: one call per
-  /// delivered protocol message.
-  [[nodiscard]] PendingInput acquire_input() {
-    if (input_pool_.empty()) return PendingInput{};
-    PendingInput input = std::move(input_pool_.back());
-    input_pool_.pop_back();
-    return input;
-  }
+  /// Takes `neighbors` (sorted) as the neighbor set and sizes the
+  /// per-neighbor slot arrays to it.
+  void adopt_neighbors(const std::vector<NodeId>& neighbors);
+  /// Recycled PendingInput (freelist pop or fresh).
+  [[nodiscard]] PendingInput acquire_input();
+  /// Returns a spent input to the freelist, emptied but keeping its
+  /// buffers' capacity for the next delivery's decode.
+  void recycle(PendingInput&& input);
 
   /// Per-neighbor receive state (indexed by neighbor rank, parallel to
   /// neighbors_): the FIFO of buffered inputs plus the replay watermark —

@@ -15,7 +15,7 @@ UntrustedHost::UntrustedHost(const RexConfig& config, NodeId id,
       transport_(transport),
       trusted_(config, id, runtime_, identity, quoting_enclave, verifier,
                std::move(model_factory), seed, make_send_fn(),
-               &transport.payload_pool()) {}
+               transport.payload_pool()) {}
 
 TrustedNode::SendFn UntrustedHost::make_send_fn() {
   // ocall_send (Algorithm 1 lines 7-8): wrap the enclave's output blob into

@@ -89,7 +89,10 @@ void encode_ratings_compressed(serialize::BinaryWriter& w,
 
 void decode_ratings_compressed(serialize::BinaryReader& r,
                                std::vector<Rating>& out) {
+  // Each rating takes at least two bytes (one per delta varint): check a
+  // crafted count before reserving for it.
   const std::uint64_t count = r.varint();
+  REX_REQUIRE(count <= r.remaining() / 2, "rating count exceeds the message");
   out.clear();
   out.reserve(count);
 

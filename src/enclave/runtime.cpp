@@ -1,14 +1,6 @@
 #include "enclave/runtime.hpp"
 
-#include "support/error.hpp"
-
 namespace rex::enclave {
-
-void Runtime::track_release(std::size_t bytes) {
-  REX_CHECK(bytes <= stats_.resident_bytes,
-            "releasing more enclave memory than allocated");
-  stats_.resident_bytes -= bytes;
-}
 
 double Runtime::memory_slowdown() const {
   if (!secure()) return 1.0;

@@ -61,14 +61,8 @@ class Runtime {
     stats_.sealed_bytes += bytes;
   }
 
-  /// Enclave heap accounting (allocations inside the trusted partition).
-  void track_allocation(std::size_t bytes) {
-    stats_.resident_bytes += bytes;
-    if (stats_.resident_bytes > stats_.peak_resident_bytes) {
-      stats_.peak_resident_bytes = stats_.resident_bytes;
-    }
-  }
-  void track_release(std::size_t bytes);
+  /// Enclave heap accounting: the trusted partition's current residency
+  /// (the peak is tracked alongside).
   void set_resident(std::size_t bytes) {
     stats_.resident_bytes = bytes;
     if (stats_.resident_bytes > stats_.peak_resident_bytes) {

@@ -144,7 +144,8 @@ class BinaryReader {
 
  private:
   void need(std::size_t n) const {
-    REX_REQUIRE(pos_ + n <= data_.size(), "binary message truncated");
+    // Not pos_ + n <= size: that sum wraps for a crafted n near 2^64.
+    REX_REQUIRE(n <= remaining(), "binary message truncated");
   }
 
   BytesView data_;

@@ -18,6 +18,7 @@
 #include "graph/topology.hpp"
 #include "ml/mf.hpp"
 #include "net/transport.hpp"
+#include "serialize/binary.hpp"
 #include "support/error.hpp"
 
 namespace rex::core {
@@ -63,6 +64,31 @@ TEST(Payload, RejectsGarbage) {
   bytes.pop_back();
   bytes.pop_back();  // truncation
   EXPECT_THROW((void)ProtocolPayload::decode(bytes), Error);
+
+  // Crafted lengths and counts: a model blob 16 bytes short of 2^64 (the
+  // bounds check must not wrap), and rating counts of 2^62 and 2^26 that
+  // the bytes left cannot hold (refused before anything is reserved).
+  const auto crafted = [](PayloadKind kind, std::uint64_t length) {
+    serialize::BinaryWriter w;
+    w.u8(static_cast<std::uint8_t>(kind));
+    w.varint(0);  // epoch
+    w.u32(0);     // sender degree
+    w.varint(length);
+    return w.take();
+  };
+  const Bytes huge_blob = crafted(PayloadKind::kModel, ~std::uint64_t{15});
+  ASSERT_EQ(huge_blob.size(), 16u);
+  EXPECT_THROW((void)ProtocolPayload::decode(huge_blob), Error);
+  for (const PayloadKind kind :
+       {PayloadKind::kRawData, PayloadKind::kRawDataCompressed}) {
+    const Bytes huge_count = crafted(kind, std::uint64_t{1} << 62);
+    ASSERT_EQ(huge_count.size(), 15u);
+    EXPECT_THROW((void)ProtocolPayload::decode(huge_count), Error);
+  }
+  const Bytes large_count =
+      crafted(PayloadKind::kRawData, std::uint64_t{1} << 26);
+  ASSERT_EQ(large_count.size(), 10u);
+  EXPECT_THROW((void)ProtocolPayload::decode(large_count), Error);
 }
 
 /// Minimal multi-node rig driving hosts by hand (no sim:: dependency).

@@ -122,16 +122,13 @@ TEST(Runtime, SgxModeCounts) {
 
 TEST(Runtime, MemoryTracking) {
   Runtime runtime(SecurityMode::kSgxSimulated);
-  runtime.track_allocation(1000);
-  runtime.track_allocation(500);
+  runtime.set_resident(1000);
+  runtime.set_resident(1500);
   EXPECT_EQ(runtime.stats().resident_bytes, 1500u);
-  runtime.track_release(200);
-  EXPECT_EQ(runtime.stats().resident_bytes, 1300u);
   EXPECT_EQ(runtime.stats().peak_resident_bytes, 1500u);
   runtime.set_resident(99);
   EXPECT_EQ(runtime.stats().resident_bytes, 99u);
   EXPECT_EQ(runtime.stats().peak_resident_bytes, 1500u);
-  EXPECT_THROW(runtime.track_release(1000), Error);
 }
 
 TEST(Runtime, MemorySlowdownUsesEpc) {
