@@ -59,6 +59,7 @@
 
 #include "bench_common.hpp"
 #include "sim/report.hpp"
+#include "support/bytes.hpp"
 
 namespace {
 
@@ -315,9 +316,9 @@ int run_mega_showcase(const rex::bench::Options& options) {
   std::printf("mega-scale cell (%zu nodes, D-PSGD raw shares)\n", r.nodes);
   print_scale_cell("mega", r);
   std::printf("  peak RSS %s total, %s per node (budget %s)\n",
-              bench::format_bytes(static_cast<double>(rss)).c_str(),
-              bench::format_bytes(bytes_per_node).c_str(),
-              bench::format_bytes(kMegaBytesPerNodeBudget).c_str());
+              rex::format_bytes(static_cast<double>(rss)).c_str(),
+              rex::format_bytes(bytes_per_node).c_str(),
+              rex::format_bytes(kMegaBytesPerNodeBudget).c_str());
 
   if (!options.csv_dir.empty()) {
     std::filesystem::create_directories(options.csv_dir);
@@ -528,7 +529,7 @@ int run_wan_showcase(const rex::bench::Options& options) {
 
   const auto print_cell = [](const char* name, const WireCell& c) {
     std::printf("  %-14s %10s total  %7.1f B/share  %10s sim  rmse %.4f\n",
-                name, bench::format_bytes(static_cast<double>(c.bytes)).c_str(),
+                name, rex::format_bytes(static_cast<double>(c.bytes)).c_str(),
                 c.bytes_per_share, bench::format_time(c.completion_s).c_str(),
                 c.rmse);
   };
@@ -639,11 +640,11 @@ int run_churn_showcase(const rex::bench::Options& options) {
       // Wire totals of the whole resync plane (pull requests + model
       // replies), not just model blobs.
       std::printf("  resync traffic: %s released, %s delivered, %s lost\n",
-                  bench::format_bytes(
+                  rex::format_bytes(
                       static_cast<double>(resync.tx_bytes)).c_str(),
-                  bench::format_bytes(
+                  rex::format_bytes(
                       static_cast<double>(resync.rx_bytes)).c_str(),
-                  bench::format_bytes(
+                  rex::format_bytes(
                       static_cast<double>(resync.dropped_bytes)).c_str());
       if (!options.csv_dir.empty()) {
         std::filesystem::create_directories(options.csv_dir);

@@ -271,21 +271,6 @@ void print_header(const std::string& title, const Options& options) {
               "=\n");
 }
 
-std::string format_bytes(double bytes) {
-  char buffer[32];
-  if (bytes >= 1024.0 * 1024.0 * 1024.0) {
-    std::snprintf(buffer, sizeof buffer, "%.2f GiB",
-                  bytes / (1024.0 * 1024.0 * 1024.0));
-  } else if (bytes >= 1024.0 * 1024.0) {
-    std::snprintf(buffer, sizeof buffer, "%.2f MiB", bytes / (1024.0 * 1024.0));
-  } else if (bytes >= 1024.0) {
-    std::snprintf(buffer, sizeof buffer, "%.2f KiB", bytes / 1024.0);
-  } else {
-    std::snprintf(buffer, sizeof buffer, "%.0f B", bytes);
-  }
-  return buffer;
-}
-
 void BenchJson::number(const std::string& key, double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.6g", value);

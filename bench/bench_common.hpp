@@ -137,10 +137,8 @@ void maybe_csv(const Options& options, const sim::ExperimentResult& result,
 /// Prints the standard bench header (figure/table id + configuration).
 void print_header(const std::string& title, const Options& options);
 
-/// Human-readable byte count ("3.2 KiB", "18 MiB").
-[[nodiscard]] std::string format_bytes(double bytes);
-
-/// Human-readable simulated duration ("12.3 s", "4.1 min").
+/// Human-readable simulated duration ("12.34 s", "4.10 min"): two decimals
+/// where rex::format_time prints one, so bench tables keep their digits.
 [[nodiscard]] std::string format_time(double seconds);
 
 /// Minimal ordered JSON-object writer for machine-readable BENCH_*.json

@@ -16,6 +16,7 @@
 #include <map>
 
 #include "bench_common.hpp"
+#include "support/bytes.hpp"
 
 namespace {
 
@@ -108,8 +109,8 @@ void report(const std::vector<Row>& rows) {
         bench::format_time(stages.train.seconds).c_str(),
         bench::format_time(stages.share.seconds).c_str(),
         bench::format_time(stages.test.seconds).c_str(),
-        bench::format_bytes(r.mean_epoch_traffic()).c_str(),
-        bench::format_bytes(r.peak_memory_bytes()).c_str(),
+        rex::format_bytes(r.mean_epoch_traffic()).c_str(),
+        rex::format_bytes(r.peak_memory_bytes()).c_str(),
         r.rounds.back().mean_store_size);
   }
   std::printf("\n");
@@ -370,7 +371,7 @@ void fig3(Paper& p) {
   p.shape(kAsserted, "REX traffic is the same for every k, MS's rises with k",
           std::ranges::count(rex, rex[0]) == 5 && rising(ms),
           fmt("REX %s at every k; MS %.1fx from k=10 to k=50",
-              bench::format_bytes(rex[0]).c_str(), ms.back() / ms[0]),
+              rex::format_bytes(rex[0]).c_str(), ms.back() / ms[0]),
           "REX constant in k; MS linear in k");
 }
 
@@ -484,9 +485,9 @@ void fig7(Paper& p) {
                                   large[2].b.peak_memory_bytes());
   p.shape(kAsserted, "D-PSGD MS peak RAM is above the EPC, REX's below it",
           ms_ram > epc && rex_ram < epc,
-          "D-PSGD MS " + bench::format_bytes(ms_ram) + ", REX at most " +
-              bench::format_bytes(rex_ram) + ", EPC " +
-              bench::format_bytes(epc),
+          "D-PSGD MS " + rex::format_bytes(ms_ram) + ", REX at most " +
+              rex::format_bytes(rex_ram) + ", EPC " +
+              rex::format_bytes(epc),
           "D-PSGD MS 204 MiB, REX at most 53.9 MiB, EPC 93.5 MiB");
   p.shape(kNotReproduced, "overheads are larger than Fig 6's",
           std::ranges::equal(of(large, overhead), of(latest, overhead),
@@ -587,8 +588,8 @@ void share_size(Paper& p) {
   report(rows);
   p.shape(kAsserted, "traffic and duplicate rate rise with points per share",
           rising(traffic) && rising(dup_rate),
-          "traffic " + bench::format_bytes(traffic.front()) + " -> " +
-              bench::format_bytes(traffic.back()) + "; dup rate " + dups,
+          "traffic " + rex::format_bytes(traffic.front()) + " -> " +
+              rex::format_bytes(traffic.back()) + "; dup rate " + dups,
           "linearly more traffic; more duplicates (§III-E)");
   p.shape(kNotReproduced, "more points converge faster (final RMSE falls)",
           std::ranges::adjacent_find(final_rmse, std::less<>()) ==

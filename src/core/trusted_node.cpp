@@ -1,6 +1,7 @@
 #include "core/trusted_node.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "crypto/aead.hpp"
 #include "graph/graph.hpp"
@@ -31,6 +32,15 @@ bool admitted(bool passed, bool tolerate, std::uint64_t& rejected,
   REX_REQUIRE(tolerate, message);
   ++rejected;
   return false;
+}
+
+/// The same rule for a check that refuses by throwing rex::Error (the
+/// payload decoder, require_cell_ids): `refusal` is what it threw, or
+/// null. A benign run aborts with the refusal's own message.
+bool admitted(const std::exception_ptr& refusal, bool tolerate,
+              std::uint64_t& rejected) {
+  if (refusal != nullptr && !tolerate) std::rethrow_exception(refusal);
+  return admitted(refusal == nullptr, tolerate, rejected, "");
 }
 
 /// AAD binding a directed (sender, receiver) pair (DESIGN.md §6).
@@ -420,8 +430,11 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
     // instead of desynchronizing the stream.
     std::uint64_t seq = 0;
     BytesView ciphertext;
-    REX_REQUIRE(split_frame(blob, seq, ciphertext),
-                "truncated secure payload");
+    if (!admitted(split_frame(blob, seq, ciphertext),
+                  config_.tolerate_byzantine, tampered_rejected_,
+                  "truncated secure payload")) {
+      return;
+    }
     const auto stale = stale_keys_.find(src);
     REX_REQUIRE(sess.attested() || stale != stale_keys_.end(),
                 "protocol message from unattested peer");  // fail closed
@@ -469,11 +482,6 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
     if (from_stale != nullptr) from_stale->recv_sequence = seq + 1;
     plaintext = opened;
   }
-  // Native runs decode straight off the (shared, immutable) wire buffer —
-  // no plaintext staging copy per delivery.
-  PendingInput input = acquire_input();  // recycled decode target
-  ProtocolPayload::decode_into(plaintext, input.payload);
-
   // Arrivals queue FIFO per neighbor: under event-driven scheduling a fast
   // neighbor may deliver round k+1 while we still wait on a slower one for
   // round k; RMW buffers everything since its last period (§III-C1).
@@ -483,10 +491,24 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   // the cost model. (The caller may catch the Error and keep the node
   // running, as the tamper tests do.)
   //
-  // First, every raw rating must have a cell id, the duplicate filter's
-  // key (DESIGN.md §10 "Duplicate filter"): one outside the catalogue
-  // would otherwise sit in the store until SGD sampled it.
-  require_cell_ids(input.payload.ratings, src);
+  // First, the payload must decode, and every raw rating must have a cell
+  // id, the duplicate filter's key (DESIGN.md §10 "Duplicate filter"): one
+  // outside the catalogue would otherwise sit in the store until SGD
+  // sampled it. Bytes that fail either are counted as tampering, like a
+  // frame that fails to open. Native runs decode straight off the (shared,
+  // immutable) wire buffer — no plaintext staging copy per delivery.
+  PendingInput input = acquire_input();  // recycled decode target
+  std::exception_ptr refusal;
+  try {
+    ProtocolPayload::decode_into(plaintext, input.payload);
+    require_cell_ids(input.payload.ratings, src);
+  } catch (const Error&) {
+    refusal = std::current_exception();
+  }
+  if (!admitted(refusal, config_.tolerate_byzantine, tampered_rejected_)) {
+    recycle(std::move(input));
+    return;
+  }
 
   // A sender's epochs strictly increase and per-edge delivery is FIFO, so
   // an epoch at or below the neighbor's watermark is a resend or replay —

@@ -123,8 +123,10 @@ class TrustedNode {
   // conditions below abort the run as engine bugs). The ScenarioHarness
   // reconciles these against its fault ledger at finalize.
 
-  /// Secure shares rejected because AEAD authentication failed — a
-  /// ciphertext or tag bit was flipped in flight.
+  /// Inputs rejected as tampered: a secure frame that fails AEAD
+  /// authentication (a ciphertext or tag bit flipped in flight) or is too
+  /// short to carry its sequence number, or a payload that does not decode
+  /// or carries a rating outside the catalogue.
   [[nodiscard]] std::uint64_t tampered_rejected() const {
     return tampered_rejected_;
   }

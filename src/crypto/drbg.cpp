@@ -13,11 +13,6 @@ Drbg::Drbg(std::uint64_t seed) {
   std::memcpy(key_.data(), d.data(), key_.size());
 }
 
-Drbg::Drbg(BytesView seed_material) {
-  const Sha256Digest d = sha256(seed_material);
-  std::memcpy(key_.data(), d.data(), key_.size());
-}
-
 void Drbg::generate(std::uint8_t* out, std::size_t n) {
   while (n > 0) {
     if (buffered_ == 0) {
@@ -34,12 +29,6 @@ void Drbg::generate(std::uint8_t* out, std::size_t n) {
     out += take;
     n -= take;
   }
-}
-
-Bytes Drbg::generate(std::size_t n) {
-  Bytes out(n);
-  generate(out.data(), n);
-  return out;
 }
 
 ChaChaKey Drbg::next_key() {

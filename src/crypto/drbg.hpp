@@ -19,13 +19,8 @@ class Drbg {
   /// Seeds from a 64-bit value (expanded through SHA-256).
   explicit Drbg(std::uint64_t seed);
 
-  /// Seeds from arbitrary entropy bytes.
-  explicit Drbg(BytesView seed_material);
-
   /// Fills `out` with the next `n` pseudo-random bytes.
   void generate(std::uint8_t* out, std::size_t n);
-
-  [[nodiscard]] Bytes generate(std::size_t n);
 
   /// Fresh symmetric key.
   [[nodiscard]] ChaChaKey next_key();

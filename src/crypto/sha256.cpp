@@ -131,9 +131,4 @@ Sha256Digest sha256(BytesView data) {
   return h.finish();
 }
 
-Bytes sha256_bytes(BytesView data) {
-  const Sha256Digest d = sha256(data);
-  return Bytes(d.begin(), d.end());
-}
-
 }  // namespace rex::crypto

@@ -40,7 +40,4 @@ class Sha256 {
 /// One-shot convenience.
 [[nodiscard]] Sha256Digest sha256(BytesView data);
 
-/// Digest as an owned byte buffer (for wire formats).
-[[nodiscard]] Bytes sha256_bytes(BytesView data);
-
 }  // namespace rex::crypto

@@ -124,16 +124,4 @@ void decode_ratings_compressed(serialize::BinaryReader& r,
   }
 }
 
-std::vector<Rating> decode_ratings_compressed(serialize::BinaryReader& r) {
-  std::vector<Rating> batch;
-  decode_ratings_compressed(r, batch);
-  return batch;
-}
-
-std::size_t compressed_ratings_size(std::span<const Rating> batch) {
-  serialize::BinaryWriter w;
-  encode_ratings_compressed(w, batch, tls_sort_scratch());
-  return w.size();
-}
-
 }  // namespace rex::data

@@ -39,13 +39,4 @@ void encode_ratings_compressed(serialize::BinaryWriter& w,
 void decode_ratings_compressed(serialize::BinaryReader& r,
                                std::vector<Rating>& out);
 
-/// Convenience overload returning a fresh vector.
-[[nodiscard]] std::vector<Rating> decode_ratings_compressed(
-    serialize::BinaryReader& r);
-
-/// Exact encoded size of a batch (for network accounting without keeping
-/// the encoding). Copies nothing beyond the thread-local sort scratch.
-[[nodiscard]] std::size_t compressed_ratings_size(
-    std::span<const Rating> batch);
-
 }  // namespace rex::data

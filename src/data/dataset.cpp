@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "support/error.hpp"
 
@@ -26,18 +25,6 @@ double Dataset::density() const {
          (static_cast<double>(n_users) * static_cast<double>(n_items));
 }
 
-std::size_t Dataset::active_users() const {
-  std::set<UserId> users;
-  for (const Rating& r : ratings) users.insert(r.user);
-  return users.size();
-}
-
-std::size_t Dataset::active_items() const {
-  std::set<ItemId> items;
-  for (const Rating& r : ratings) items.insert(r.item);
-  return items.size();
-}
-
 std::vector<std::vector<Rating>> Dataset::by_user() const {
   std::vector<std::vector<Rating>> grouped(n_users);
   for (const Rating& r : ratings) {
@@ -45,20 +32,6 @@ std::vector<std::vector<Rating>> Dataset::by_user() const {
     grouped[r.user].push_back(r);
   }
   return grouped;
-}
-
-linalg::CsrMatrix Dataset::to_csr() const {
-  std::vector<std::uint32_t> rows, cols;
-  std::vector<float> vals;
-  rows.reserve(ratings.size());
-  cols.reserve(ratings.size());
-  vals.reserve(ratings.size());
-  for (const Rating& r : ratings) {
-    rows.push_back(r.user);
-    cols.push_back(r.item);
-    vals.push_back(r.value);
-  }
-  return linalg::CsrMatrix(n_users, n_items, rows, cols, vals);
 }
 
 Split train_test_split(const Dataset& dataset, double train_fraction,

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/sparse.hpp"
 #include "support/rng.hpp"
 
 namespace rex::data {
@@ -50,15 +49,8 @@ struct Dataset {
   /// Fraction of the user-item matrix that is filled.
   [[nodiscard]] double density() const;
 
-  /// Number of distinct users/items that actually appear.
-  [[nodiscard]] std::size_t active_users() const;
-  [[nodiscard]] std::size_t active_items() const;
-
   /// Ratings grouped per user (index = user id).
   [[nodiscard]] std::vector<std::vector<Rating>> by_user() const;
-
-  /// CSR view (rows = users, cols = items) for centralized training.
-  [[nodiscard]] linalg::CsrMatrix to_csr() const;
 };
 
 /// Train/test split result.

@@ -86,10 +86,4 @@ std::vector<NodeShard> partition_users_by_taste(const Dataset& dataset,
   return partition_by_user_map(dataset, split, node_of_user, n_nodes);
 }
 
-std::size_t total_train_ratings(const std::vector<NodeShard>& shards) {
-  std::size_t total = 0;
-  for (const NodeShard& s : shards) total += s.train.size();
-  return total;
-}
-
 }  // namespace rex::data

@@ -37,8 +37,4 @@ struct NodeShard {
 [[nodiscard]] std::vector<NodeShard> partition_users_by_taste(
     const Dataset& dataset, const Split& split, std::size_t n_nodes);
 
-/// Total raw-data item count across shards (sanity accounting).
-[[nodiscard]] std::size_t total_train_ratings(
-    const std::vector<NodeShard>& shards);
-
 }  // namespace rex::data

@@ -79,13 +79,4 @@ Graph make_fully_connected(std::size_t nodes) {
   return g;
 }
 
-Graph make_ring(std::size_t nodes) {
-  REX_REQUIRE(nodes >= 3, "ring needs at least 3 nodes");
-  Graph g(nodes);
-  for (NodeId v = 0; v < nodes; ++v) {
-    g.add_edge(v, static_cast<NodeId>((v + 1) % nodes));
-  }
-  return g;
-}
-
 }  // namespace rex::graph

@@ -37,7 +37,4 @@ struct ErdosRenyiParams {
 /// Complete graph on n nodes (the paper's 8-node SGX testbed topology).
 [[nodiscard]] Graph make_fully_connected(std::size_t nodes);
 
-/// Ring over n nodes (useful in tests and ablations).
-[[nodiscard]] Graph make_ring(std::size_t nodes);
-
 }  // namespace rex::graph

@@ -5,12 +5,6 @@
 
 namespace rex::linalg {
 
-void Matrix::weighted_merge(float w_self, const Matrix& other, float w_other) {
-  REX_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-              "weighted_merge: shape mismatch");
-  weighted_sum_inplace(flat(), w_self, other.flat(), w_other);
-}
-
 void Matrix::randomize_normal(Rng& rng, float stddev) {
   for (float& v : data_) {
     v = static_cast<float>(rng.normal(0.0, stddev));

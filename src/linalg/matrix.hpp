@@ -41,9 +41,6 @@ class Matrix {
   [[nodiscard]] std::span<float> flat() { return data_; }
   [[nodiscard]] std::span<const float> flat() const { return data_; }
 
-  /// In-place elementwise: this = w_self * this + w_other * other.
-  void weighted_merge(float w_self, const Matrix& other, float w_other);
-
   /// Fills with N(0, stddev) entries (embedding initialization).
   void randomize_normal(Rng& rng, float stddev);
 

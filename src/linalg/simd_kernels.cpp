@@ -1,6 +1,5 @@
 #include "linalg/simd_kernels.hpp"
 
-#include <cmath>
 #include <cstdlib>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -308,29 +307,13 @@ void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
   }
 }
 
-// Reductions stay on one exact left-to-right loop on every backend: a
+// The reduction stays on one exact left-to-right loop on every backend: a
 // multi-lane vector sum reassociates, which would move golden dumps.
 
 float dot(const float* a, const float* b, std::size_t n) {
   float acc = 0.0f;
   for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
-}
-
-float l2_norm(const float* x, std::size_t n) {
-  double acc = 0.0;  // double accumulator: long sums of squares
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return static_cast<float>(std::sqrt(acc));
-}
-
-float l1_distance(const float* x, const float* y, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
-  }
-  return static_cast<float>(acc);
 }
 
 }  // namespace rex::linalg::simd

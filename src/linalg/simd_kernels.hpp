@@ -8,9 +8,9 @@
 //    AVX2/NEON results are bit-identical to the scalar loops the portable
 //    build auto-vectorizes. Switching backends never moves a golden dump.
 //
-//  * Reductions (dot / l2_norm / l1_distance): one exact left-to-right
-//    scalar loop on every backend. A multi-lane vector sum reassociates,
-//    which is NOT bit-identical, so there is no vector reduction path.
+//  * The reduction (dot): one exact left-to-right scalar loop on every
+//    backend. A multi-lane vector sum reassociates, which is NOT
+//    bit-identical, so there is no vector reduction path.
 //
 // Dispatch is resolved once (first use) from the CPU and environment:
 // REX_SCALAR_KERNELS forces the scalar backend end to end — the escape
@@ -62,16 +62,9 @@ void fill(float* x, float value, std::size_t n);
 void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
                  float lambda);
 
-// ===== Reductions (exact scalar on every backend) =====
+// ===== Reduction (exact scalar on every backend) =====
 
 /// Σ a[i] * b[i] — float accumulator, left-to-right (exact contract).
 [[nodiscard]] float dot(const float* a, const float* b, std::size_t n);
-
-/// sqrt(Σ x[i]^2) — double accumulator, left-to-right (exact contract).
-[[nodiscard]] float l2_norm(const float* x, std::size_t n);
-
-/// Σ |x[i] - y[i]| — double accumulator, left-to-right (exact contract).
-[[nodiscard]] float l1_distance(const float* x, const float* y,
-                                std::size_t n);
 
 }  // namespace rex::linalg::simd

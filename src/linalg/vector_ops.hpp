@@ -4,13 +4,12 @@
 // inputs (under one or two vector widths — MF embedding rows are 2..20
 // floats) stay on the inline scalar loops; larger inputs route to the
 // runtime-dispatched SIMD layer (simd_kernels.hpp, DESIGN.md §7). The two
-// paths are bit-identical for the elementwise kernels, and the reductions
-// run the same exact scalar algorithm on both sides, so the split never
+// paths are bit-identical for the elementwise kernels, and the reduction
+// runs the same exact scalar algorithm on both sides, so the split never
 // moves a result. float (not double) matches the paper's model-size
 // accounting.
 #pragma once
 
-#include <cmath>
 #include <span>
 
 #include "linalg/simd_kernels.hpp"
@@ -64,30 +63,6 @@ inline void weighted_sum_inplace(std::span<float> dst, float w_dst,
     return;
   }
   simd::weighted_sum(dst.data(), w_dst, src.data(), w_src, dst.size());
-}
-
-/// sqrt(Σ x[i]^2)
-[[nodiscard]] inline float l2_norm(std::span<const float> x) {
-  if (x.size() < kSimdThreshold) {
-    double acc = 0.0;  // double accumulator: long sums of squares
-    for (float v : x) acc += static_cast<double>(v) * static_cast<double>(v);
-    return static_cast<float>(std::sqrt(acc));
-  }
-  return simd::l2_norm(x.data(), x.size());
-}
-
-/// Σ |x[i] - y[i]|
-[[nodiscard]] inline float l1_distance(std::span<const float> x,
-                                       std::span<const float> y) {
-  REX_REQUIRE(x.size() == y.size(), "l1_distance: size mismatch");
-  if (x.size() < kSimdThreshold) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      acc += std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
-    }
-    return static_cast<float>(acc);
-  }
-  return simd::l1_distance(x.data(), y.data(), x.size());
 }
 
 inline void fill(std::span<float> x, float value) {

@@ -22,6 +22,13 @@ namespace rex::net {
 
 namespace {
 
+/// Initiator reconnect backoff: first retry after kReconnectInitialS,
+/// doubling per failure up to kReconnectMaxS.
+constexpr double kReconnectInitialS = 0.05;
+constexpr double kReconnectMaxS = 2.0;
+/// PING cadence per connected peer, feeding the RTT estimate.
+constexpr double kPingPeriodS = 0.5;
+
 double mono_now() {
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -307,9 +314,8 @@ void SocketTransport::drop_connection(NodeId id, double now_s) {
   peer.head = peer.mark;  // resend the interrupted frame whole
   if (peer.initiator) {
     peer.backoff_s = peer.backoff_s <= 0.0
-                         ? options_.reconnect_initial_s
-                         : std::min(peer.backoff_s * 2.0,
-                                    options_.reconnect_max_s);
+                         ? kReconnectInitialS
+                         : std::min(peer.backoff_s * 2.0, kReconnectMaxS);
     peer.next_attempt_s = now_s + peer.backoff_s;
   }
 }
@@ -501,13 +507,12 @@ void SocketTransport::service_timers(double now_s) {
     if (peer.initiator && peer.fd < 0 && now_s >= peer.next_attempt_s) {
       start_connect(id, now_s);
     }
-    if (peer.identified && options_.ping_period_s > 0.0 &&
-        now_s >= peer.next_ping_s) {
+    if (peer.identified && now_s >= peer.next_ping_s) {
       const std::size_t start = peer.txbuf.size();
       append_ping(peer.txbuf, mono_now_ns());
       queue_frame(peer, start);
       netstats_.peer(id).frames_tx++;
-      peer.next_ping_s = now_s + options_.ping_period_s;
+      peer.next_ping_s = now_s + kPingPeriodS;
       flush_peer(id, now_s);
     }
   }
@@ -522,9 +527,7 @@ std::size_t SocketTransport::poll(int timeout_ms) {
     if (peer.initiator && peer.fd < 0) {
       deadline = std::min(deadline, peer.next_attempt_s);
     }
-    if (peer.identified && options_.ping_period_s > 0.0) {
-      deadline = std::min(deadline, peer.next_ping_s);
-    }
+    if (peer.identified) deadline = std::min(deadline, peer.next_ping_s);
   }
   int timeout = std::max(timeout_ms, 0);
   if (deadline != std::numeric_limits<double>::infinity()) {

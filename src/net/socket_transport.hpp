@@ -67,12 +67,6 @@ class SocketTransport {
     /// Cluster-config fingerprint carried in HELLO. Two processes launched
     /// from different configs refuse to talk instead of desynchronizing.
     std::uint64_t fingerprint = 0;
-    /// Initiator reconnect backoff: first retry after `reconnect_initial_s`,
-    /// doubling per failure up to `reconnect_max_s`.
-    double reconnect_initial_s = 0.05;
-    double reconnect_max_s = 2.0;
-    /// PING cadence per connected peer feeding the RTT estimate; 0 disables.
-    double ping_period_s = 0.5;
   };
 
   /// Inbound envelope sink (same shape as UntrustedHost::on_deliver).

@@ -49,12 +49,6 @@ std::size_t Transport::inbox_size(NodeId node) const {
   return inboxes_[node].size();
 }
 
-std::vector<Envelope> Transport::take_outbox(NodeId src) {
-  std::vector<Envelope> out;
-  take_outbox(src, out);
-  return out;
-}
-
 void Transport::take_outbox(NodeId src, std::vector<Envelope>& out) {
   check_node(src);
   take_all(outboxes_[src], out);
@@ -62,17 +56,8 @@ void Transport::take_outbox(NodeId src, std::vector<Envelope>& out) {
 
 std::uint64_t Transport::total_bytes_sent() const {
   std::uint64_t total = 0;
-  for (const NodeTraffic& t : traffic_) total += t.total.bytes_sent;
+  for (const TrafficStats& t : traffic_) total += t.bytes_sent;
   return total;
-}
-
-void Transport::reset_epoch_stats() {
-  for (NodeTraffic& t : traffic_) t.epoch = TrafficStats{};
-}
-
-const TrafficStats& Transport::epoch_stats(NodeId node) const {
-  check_node(node);
-  return traffic_[node].epoch;
 }
 
 }  // namespace rex::net

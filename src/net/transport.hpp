@@ -19,6 +19,10 @@
 //
 // flush_round() is the only writer of the inboxes and runs single-threaded,
 // so the mailboxes carry no locks.
+//
+// Traffic counters are cumulative: a caller that reports per-epoch traffic
+// keeps its own reading from the previous epoch and subtracts it
+// (sim::SimEngine's NodeStatus::traffic_mark, the rex_node epoch loop).
 #pragma once
 
 #include <vector>
@@ -63,7 +67,7 @@ class Transport {
 
   /// Routes all queued sends into destination inboxes, sender by sender.
   /// Call at the round barrier only (single-threaded). Accounts sender and
-  /// receiver traffic in the current epoch window.
+  /// receiver traffic.
   void flush_round();
 
   /// Removes and returns everything deliverable to `node` in (flush,
@@ -81,15 +85,12 @@ class Transport {
 
   // ===== Event path =====
 
-  /// Moves out everything `src` queued since the last take, in send order.
-  /// The caller owns delivery — and accounting: record_send() must be
-  /// called per envelope when (if) it actually hits the wire. The engine
-  /// may elide an envelope whose destination is known to be offline
-  /// (DESIGN.md §6), and an elided envelope never consumed uplink.
-  [[nodiscard]] std::vector<Envelope> take_outbox(NodeId src);
-
-  /// Allocation-free variant: appends to `out` (typically a recycled
-  /// SlotPool vector) instead of returning a fresh vector.
+  /// Appends to `out` (typically a recycled SlotPool vector) everything
+  /// `src` queued since the last take, in send order. The caller owns
+  /// delivery — and accounting: record_send() must be called per envelope
+  /// when (if) it actually hits the wire. The engine may elide an envelope
+  /// whose destination is known to be offline (DESIGN.md §6), and an elided
+  /// envelope never consumed uplink.
   void take_outbox(NodeId src, std::vector<Envelope>& out);
 
   /// Envelopes currently queued in `src`'s outbox (cheap emptiness probe
@@ -104,12 +105,9 @@ class Transport {
   /// Touches only env.src's counters, so calls for distinct senders are
   /// safe to run concurrently.
   void record_send(const Envelope& env) {
-    const std::size_t wire = env.wire_size();
-    NodeTraffic& traffic = traffic_[env.src];
-    traffic.total.messages_sent++;
-    traffic.total.bytes_sent += wire;
-    traffic.epoch.messages_sent++;
-    traffic.epoch.bytes_sent += wire;
+    TrafficStats& traffic = traffic_[env.src];
+    traffic.messages_sent++;
+    traffic.bytes_sent += env.wire_size();
   }
 
   /// Shared recycling pool for payload buffers: senders acquire encode
@@ -121,44 +119,28 @@ class Transport {
   /// its destination host. Touches only env.dst's counters, so concurrent
   /// calls for distinct destinations are safe.
   void record_delivery(const Envelope& env) {
-    const std::size_t wire = env.wire_size();
-    NodeTraffic& traffic = traffic_[env.dst];
-    traffic.total.messages_received++;
-    traffic.total.bytes_received += wire;
-    traffic.epoch.messages_received++;
-    traffic.epoch.bytes_received += wire;
+    TrafficStats& traffic = traffic_[env.dst];
+    traffic.messages_received++;
+    traffic.bytes_received += env.wire_size();
   }
 
   // ===== Accounting =====
 
+  /// Cumulative since construction; per-epoch traffic is the difference
+  /// of two readings.
   [[nodiscard]] const TrafficStats& stats(NodeId node) const {
     check_node(node);
-    return traffic_[node].total;
+    return traffic_[node];
   }
 
   /// Sum of per-node sent bytes (every byte is counted once as sent and
   /// once as received).
   [[nodiscard]] std::uint64_t total_bytes_sent() const;
 
-  /// Clears per-epoch counters kept by epoch_stats(); cumulative stats()
-  /// are unaffected.
-  void reset_epoch_stats();
-  [[nodiscard]] const TrafficStats& epoch_stats(NodeId node) const;
-
  private:
   void check_node(NodeId node) const {
     REX_REQUIRE(node < outboxes_.size(), "transport node id out of range");
   }
-
-  /// Cumulative + per-epoch counters for one node, kept adjacent so one
-  /// accounting update touches a single cache line (at 10k nodes every
-  /// delivery hits a random node's counters; two parallel vectors cost two
-  /// misses where one struct costs one).
-  struct NodeTraffic {
-    TrafficStats total;
-    TrafficStats epoch;
-  };
-  static_assert(sizeof(NodeTraffic) <= 64, "one cache line per node");
 
   /// Declared before the mailboxes on purpose: envelopes queued in them
   /// release payload storage back into this pool on destruction, so the
@@ -169,7 +151,7 @@ class Transport {
   /// heap (DESIGN.md §10).
   std::vector<std::vector<Envelope>> outboxes_;  // indexed by sender
   std::vector<std::vector<Envelope>> inboxes_;   // indexed by receiver
-  std::vector<NodeTraffic> traffic_;             // indexed by node
+  std::vector<TrafficStats> traffic_;            // indexed by node
 };
 
 }  // namespace rex::net

@@ -179,7 +179,6 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
   REX_REQUIRE(!initialized_, "engine already initialized");
   const std::size_t n = hosts_.size();
   REX_REQUIRE(shards.size() == n, "one shard per node required");
-  transport_.reset_epoch_stats();
   pool_.parallel_shards(n, [&](std::size_t id) {
     hosts_[id].runtime().reset_epoch_counters();
     core::TrustedInit init;
@@ -192,6 +191,11 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
     ++nodes_[id].events_processed;
   });
   events_processed_ += n;
+  // Attestation traffic stays out of the epoch accounting: epoch 0 starts
+  // from here in both disciplines.
+  for (core::NodeId id = 0; id < n; ++id) {
+    nodes_[id].traffic_mark = transport_.stats(id);
+  }
   if (config_.mode == EngineMode::kBarrier) {
     if (query_load_.enabled()) {
       // Pre-draw each node's first arrival; collect_round_record serves
@@ -205,10 +209,6 @@ void SimEngine::initialize(std::vector<data::NodeShard> shards) {
     collect_round_record();
   } else {
     // Event mode: every node starts epoch 0 on its own timeline at t = 0.
-    // Attestation traffic stays out of the epoch accounting.
-    for (core::NodeId id = 0; id < n; ++id) {
-      nodes_[id].traffic_mark = transport_.stats(id);
-    }
     for (core::NodeId id = 0; id < n; ++id) {
       post_epoch(id, SimTime{0.0});
     }
@@ -239,7 +239,6 @@ void SimEngine::run_barrier_round() {
   // drained at the barrier, D-PSGD runs its epoch on the last arrival, RMW
   // trains because the round *is* its period.
   const std::size_t n = hosts_.size();
-  transport_.reset_epoch_stats();
   // Nodes claim workers one at a time: epoch costs differ (store sizes,
   // degrees) and the round waits for the last node to finish, so a static
   // split would idle every worker that drew cheap nodes.
@@ -283,8 +282,11 @@ void SimEngine::collect_round_record() {
     NodeStatus& status = nodes_[id];
     status.busy_until = round_start + stages.total();
     status.model_fresh_at = status.busy_until;
+    const net::TrafficStats& cumulative = transport_.stats(id);
     fold_epoch(bucket, id, host.trusted().last_epoch(), stages,
-               stages.total(), transport_.epoch_stats(id).bytes_total());
+               stages.total(),
+               cumulative.bytes_total() - status.traffic_mark.bytes_total());
+    status.traffic_mark = cumulative;
   }
   RoundRecord record = bucket_record(result_.rounds.size(), bucket);
   // Homogeneous: the historical global propagation latency, bit-identical.

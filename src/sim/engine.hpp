@@ -189,7 +189,8 @@ class SimEngine {
     /// Sum over completed rejoins of (completion - kChurnUp) — the
     /// re-attestation + resync latency; mean = sum / rejoins_completed.
     double rejoin_latency_sum_s = 0.0;
-    /// Cumulative traffic at the last kTest record (per-epoch deltas).
+    /// Cumulative traffic at the node's last epoch record (per-epoch
+    /// deltas, both disciplines).
     net::TrafficStats traffic_mark;
     /// Sender-side wire-occupancy queue (WAN profiles only): outgoing
     /// envelopes serialize through this.

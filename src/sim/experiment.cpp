@@ -74,7 +74,6 @@ ScenarioInputs prepare_scenario(const Scenario& scenario) {
     config.n_items = n_items;
     config.embedding_dim = scenario.mf_embedding_dim;
     config.learning_rate = scenario.mf_learning_rate;
-    config.regularization = scenario.mf_regularization;
     config.global_mean = global_mean;
     config.sgd_steps_per_epoch = scenario.mf_sgd_steps_per_epoch;
     inputs.model_factory = [config, init_seed](Rng& rng) {
@@ -86,9 +85,6 @@ ScenarioInputs prepare_scenario(const Scenario& scenario) {
     ml::DnnConfig config;
     config.n_users = n_users;
     config.n_items = n_items;
-    config.embedding_dim = scenario.dnn_embedding_dim;
-    config.batch_size = scenario.dnn_batch_size;
-    config.batches_per_epoch = scenario.dnn_batches_per_epoch;
     config.output_bias_init = global_mean;
     inputs.model_factory = [config, init_seed](Rng& rng) {
       (void)rng;
@@ -102,22 +98,7 @@ ScenarioInputs prepare_scenario(const Scenario& scenario) {
 Simulator make_scenario_simulator(const Scenario& scenario,
                                   ScenarioInputs& inputs) {
   inputs = prepare_scenario(scenario);
-  Simulator::Setup setup;
-  setup.topology = &inputs.topology;
-  setup.shards = std::move(inputs.shards);
-  setup.rex = scenario.rex;
-  setup.model_factory = inputs.model_factory;
-  setup.seed = scenario.seed;
-  setup.costs = scenario.costs;
-  setup.threads = scenario.threads;
-  setup.platforms = scenario.platforms;
-  setup.engine = scenario.engine_mode;
-  setup.dynamics = scenario.dynamics;
-  setup.query_load = scenario.query_load;
-  setup.faults = scenario.faults;
-  setup.label =
-      scenario.label.empty() ? scenario_label(scenario) : scenario.label;
-  return Simulator(std::move(setup));
+  return Simulator(scenario, inputs);
 }
 
 ExperimentResult run_scenario(const Scenario& scenario) {

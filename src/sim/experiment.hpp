@@ -60,14 +60,12 @@ struct Scenario {
   double sw_far_probability = 0.03;
   double er_edge_probability = 0.05;
 
-  // Paper hyperparameters (§IV-A3).
+  // Paper hyperparameters (§IV-A3). The rest (MF regularization, the DNN's
+  // embedding width and batching) are ml::MfConfig's and ml::DnnConfig's
+  // defaults.
   std::size_t mf_embedding_dim = 10;
   std::size_t mf_sgd_steps_per_epoch = 500;
   float mf_learning_rate = 0.005f;
-  float mf_regularization = 0.1f;
-  std::size_t dnn_embedding_dim = 20;
-  std::size_t dnn_batch_size = 32;
-  std::size_t dnn_batches_per_epoch = 10;
 
   /// Has no effect: MF user rows materialize on demand whenever users
   /// outnumber items, with no switch (DESIGN.md §10). Kept only for
@@ -107,9 +105,8 @@ struct ScenarioInputs {
 [[nodiscard]] ScenarioInputs prepare_scenario(const Scenario& scenario);
 
 /// Prepares `inputs` (which must outlive the simulator — it owns the
-/// topology) and assembles the fully-wired Simulator for a scenario. The
-/// single place where Scenario fields map onto Simulator::Setup; used by
-/// run_scenario and by tests/benches that need engine access.
+/// topology) and assembles the fully-wired Simulator for a scenario; used
+/// by run_scenario and by tests/benches that need engine access.
 [[nodiscard]] Simulator make_scenario_simulator(const Scenario& scenario,
                                                 ScenarioInputs& inputs);
 

@@ -50,11 +50,6 @@ LinkParams make_wan_profile(const std::string& name) {
   return p;
 }
 
-const std::vector<std::string>& wan_profile_names() {
-  static const std::vector<std::string> names = {"lan", "wan", "geo"};
-  return names;
-}
-
 LinkModel::LinkModel(const graph::Graph& topology, const LinkParams& params,
                      double default_latency_s, std::uint64_t seed)
     : params_(params), default_latency_s_(default_latency_s) {

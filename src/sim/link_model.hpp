@@ -51,10 +51,9 @@ struct LinkParams {
   double min_bandwidth_bytes_per_s = 1.25e6;  // 10 Mbps
 };
 
-/// Named WAN presets for the bench `--wan <profile>` flag. Throws on an
-/// unknown name; see wan_profile_names().
+/// Named WAN presets for the bench `--wan <profile>` flag: "lan", "wan" or
+/// "geo". Throws on an unknown name.
 [[nodiscard]] LinkParams make_wan_profile(const std::string& name);
-[[nodiscard]] const std::vector<std::string>& wan_profile_names();
 
 /// Per-sender wire-occupancy queue (DESIGN.md §5 "Queueing discipline").
 /// transmit() charges one envelope's serialization on the sender's uplink:

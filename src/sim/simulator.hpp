@@ -18,7 +18,6 @@
 #include "core/untrusted_host.hpp"
 #include "data/partition.hpp"
 #include "graph/graph.hpp"
-#include "ml/model.hpp"
 #include "net/transport.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
@@ -30,33 +29,17 @@
 
 namespace rex::sim {
 
+struct Scenario;        // sim/experiment.hpp, which includes this header
+struct ScenarioInputs;
+
 class Simulator {
  public:
-  struct Setup {
-    const graph::Graph* topology = nullptr;
-    std::vector<data::NodeShard> shards;  // one per topology node
-    core::RexConfig rex;
-    ml::ModelFactory model_factory;
-    std::uint64_t seed = 1;
-    CostParams costs;
-    std::size_t threads = 0;      // 0 = hardware concurrency
-    std::size_t platforms = 4;    // physical machines (paper: 4 SGX servers)
-    std::string label;
-    /// Scheduling discipline: synchronized rounds (default, the paper's
-    /// setup) or fully event-driven per-node timelines.
-    EngineMode engine = EngineMode::kBarrier;
-    /// Heterogeneity/failure knobs (inert at defaults).
-    NodeDynamics dynamics;
-    /// Open-loop serving traffic (DESIGN.md §9; inert at rate 0).
-    QueryLoadConfig query_load;
-    /// Adversarial fault schedule (DESIGN.md §8). Empty = harness off: the
-    /// engine runs the exact pre-harness code paths. Byzantine fault kinds
-    /// flip RexConfig::tolerate_byzantine so the enclaves count-and-discard
-    /// instead of aborting the whole run on the first hostile envelope.
-    FaultSchedule faults;
-  };
-
-  explicit Simulator(Setup setup);
+  /// Assembles the run `scenario` describes over its prepared `inputs`
+  /// (sim::prepare_scenario), which must outlive the simulator: it borrows
+  /// the topology and takes the shards. Byzantine fault kinds in
+  /// Scenario::faults flip RexConfig::tolerate_byzantine, so the enclaves
+  /// count-and-discard hostile envelopes instead of aborting the run.
+  Simulator(const Scenario& scenario, ScenarioInputs& inputs);
 
   // The engine holds references into this object; prvalue returns still
   // work (guaranteed elision), but moving a constructed Simulator would
@@ -87,9 +70,9 @@ class Simulator {
   [[nodiscard]] const graph::Graph& topology() const { return *topology_; }
   [[nodiscard]] SimEngine& engine() { return *engine_; }
   [[nodiscard]] const SimEngine& engine() const { return *engine_; }
-  /// The per-edge link model (homogeneous unless Setup::costs.wan.enabled).
+  /// The per-edge link model (homogeneous unless Scenario::costs.wan.enabled).
   [[nodiscard]] const LinkModel& link_model() const { return *link_model_; }
-  /// The adversarial harness, or nullptr when Setup::faults was empty.
+  /// The adversarial harness, or nullptr when Scenario::faults was empty.
   [[nodiscard]] const ScenarioHarness* harness() const {
     return harness_.get();
   }
@@ -118,7 +101,7 @@ class Simulator {
 
   ExperimentResult result_;
   std::unique_ptr<SimEngine> engine_;  // after everything it borrows
-  /// Installed into the engine when Setup::faults is non-empty; finalize()
+  /// Installed into the engine when Scenario::faults is non-empty; finalize()
   /// runs its end-of-run invariants at the end of run().
   std::unique_ptr<ScenarioHarness> harness_;
 };

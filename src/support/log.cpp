@@ -1,13 +1,12 @@
 #include "support/log.hpp"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 
 namespace rex {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+constexpr LogLevel kLogThreshold = LogLevel::kWarn;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -20,11 +19,8 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
 void log_message(LogLevel level, const char* fmt, ...) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
+  if (level < kLogThreshold) return;
   char body[1024];
   va_list args;
   va_start(args, fmt);

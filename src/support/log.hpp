@@ -12,12 +12,8 @@ namespace rex {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global threshold; messages below it are dropped. Default: kWarn, so
-/// library internals stay quiet under tests.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// printf-style logging. `fmt` must be a printf format string.
+/// printf-style logging. `fmt` must be a printf format string. Messages
+/// below kWarn are dropped, so library internals stay quiet under tests.
 void log_message(LogLevel level, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 

@@ -822,6 +822,32 @@ std::vector<RejectionCase> rejection_cases() {
          return first;
        },
        &Observed::replays, "duplicate round message from the same neighbor"},
+      {"4-byte frame on a secure pair", true,
+       [](Cluster&, std::vector<net::Envelope>& inbox) {
+         net::Envelope bad = inbox[0];
+         bad.payload = SharedBytes::wrap(Bytes(4, 0x00));
+         return bad;
+       },
+       &Observed::tampered, "truncated secure payload"},
+      {"kind byte 0xFF on a native pair", false,
+       [](Cluster&, std::vector<net::Envelope>& inbox) {
+         net::Envelope bad = inbox[0];
+         Bytes bytes = bad.payload.to_bytes();
+         bytes[0] = 0xFF;
+         bad.payload = SharedBytes::wrap(std::move(bytes));
+         return bad;
+       },
+       &Observed::tampered, "unknown payload kind"},
+      {"out-of-catalogue item on a native pair", false,
+       [](Cluster& c, std::vector<net::Envelope>& inbox) {
+         net::Envelope bad = inbox[0];
+         ProtocolPayload payload = ProtocolPayload::decode(bad.payload);
+         payload.ratings.at(0).item =
+             static_cast<data::ItemId>(c.dataset.n_items);
+         bad.payload = SharedBytes::wrap(payload.encode());
+         return bad;
+       },
+       &Observed::tampered, "has no 32-bit cell id"},
   };
 }
 

@@ -13,6 +13,12 @@
 namespace rex::data {
 namespace {
 
+std::size_t total_train_ratings(const std::vector<NodeShard>& shards) {
+  std::size_t total = 0;
+  for (const NodeShard& s : shards) total += s.train.size();
+  return total;
+}
+
 TEST(Rating, WireSizeIsTwelveBytes) {
   // The raw-data sharing argument rests on this: a data item is 12 bytes.
   EXPECT_EQ(kRatingWireSize, 12u);
@@ -43,23 +49,10 @@ TEST(Dataset, BasicStats) {
   EXPECT_EQ(d.size(), 3u);
   EXPECT_NEAR(d.mean_rating(), 3.0, 1e-12);
   EXPECT_NEAR(d.density(), 3.0 / 12.0, 1e-12);
-  EXPECT_EQ(d.active_users(), 2u);
-  EXPECT_EQ(d.active_items(), 3u);
   const auto grouped = d.by_user();
   EXPECT_EQ(grouped[0].size(), 2u);
   EXPECT_EQ(grouped[1].size(), 0u);
   EXPECT_EQ(grouped[2].size(), 1u);
-}
-
-TEST(Dataset, ToCsrMatchesRatings) {
-  Dataset d;
-  d.n_users = 2;
-  d.n_items = 3;
-  d.ratings = {{1, 2, 4.5f}, {0, 0, 1.0f}};
-  const auto csr = d.to_csr();
-  EXPECT_EQ(csr.nnz(), 2u);
-  EXPECT_EQ(csr.at(1, 2), 4.5f);
-  EXPECT_EQ(csr.at(0, 0), 1.0f);
 }
 
 TEST(Split, FractionRespectedPerUser) {

@@ -244,14 +244,8 @@ TEST(Centralized, BaselineConvergesBelowDecentralizedStart) {
 TEST(Attestation, SimulatedSgxRunsAttestBeforeProtocol) {
   Scenario scenario = small_scenario();
   scenario.rex.security = enclave::SecurityMode::kSgxSimulated;
-  ScenarioInputs inputs = prepare_scenario(scenario);
-  Simulator::Setup setup;
-  setup.topology = &inputs.topology;
-  setup.shards = std::move(inputs.shards);
-  setup.rex = scenario.rex;
-  setup.model_factory = inputs.model_factory;
-  setup.seed = scenario.seed;
-  Simulator simulator(std::move(setup));
+  ScenarioInputs inputs;
+  Simulator simulator = make_scenario_simulator(scenario, inputs);
   simulator.run_attestation();
   EXPECT_GT(simulator.attestation_rounds(), 0u);
   for (core::NodeId id = 0; id < simulator.node_count(); ++id) {

@@ -1,11 +1,10 @@
-// Linear algebra tests: BLAS-1 kernels, dense matrix ops used by MF/DNN,
-// CSR construction invariants.
+// Linear algebra tests: BLAS-1 kernels and the dense matrix ops used by
+// MF/DNN.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/vector_ops.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -45,13 +44,6 @@ TEST(VectorOps, WeightedSumInplace) {
   EXPECT_EQ(dst, (std::vector<float>{3.5f, 7.0f}));
 }
 
-TEST(VectorOps, Norms) {
-  const std::vector<float> x{3, 4};
-  EXPECT_FLOAT_EQ(l2_norm(x), 5.0f);
-  const std::vector<float> y{0, 0};
-  EXPECT_FLOAT_EQ(l1_distance(x, y), 7.0f);
-}
-
 TEST(VectorOps, Fill) {
   std::vector<float> x(4, 1.0f);
   fill(x, -2.5f);
@@ -76,18 +68,6 @@ TEST(Matrix, RowViewsAliasStorage) {
   EXPECT_EQ(m(1, 2), 9.0f);
   const Matrix& cm = m;
   EXPECT_EQ(cm.row(1)[2], 9.0f);
-}
-
-TEST(Matrix, WeightedMerge) {
-  Matrix a(2, 2, 2.0f), b(2, 2, 4.0f);
-  a.weighted_merge(0.5f, b, 0.5f);
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 2; ++c) EXPECT_EQ(a(r, c), 3.0f);
-}
-
-TEST(Matrix, WeightedMergeShapeMismatchThrows) {
-  Matrix a(2, 2), b(2, 3);
-  EXPECT_THROW(a.weighted_merge(0.5f, b, 0.5f), Error);
 }
 
 TEST(Matrix, RandomizeNormalStatistics) {
@@ -151,80 +131,6 @@ TEST(Matrix, MatvecShapeMismatchThrows) {
   Matrix m(2, 3);
   std::vector<float> x(2), y(2);
   EXPECT_THROW(matvec(m, x, y), Error);
-}
-
-CsrMatrix make_csr() {
-  // 3x4 matrix with 5 entries, given in scrambled order.
-  const std::vector<std::uint32_t> rows{2, 0, 1, 0, 2};
-  const std::vector<std::uint32_t> cols{3, 1, 0, 3, 0};
-  const std::vector<float> vals{5.0f, 1.0f, 2.0f, 3.0f, 4.0f};
-  return CsrMatrix(3, 4, rows, cols, vals);
-}
-
-TEST(Csr, BasicProperties) {
-  const CsrMatrix m = make_csr();
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 4u);
-  EXPECT_EQ(m.nnz(), 5u);
-  EXPECT_NEAR(m.density(), 5.0 / 12.0, 1e-12);
-  EXPECT_NEAR(m.mean_value(), (5 + 1 + 2 + 3 + 4) / 5.0, 1e-12);
-}
-
-TEST(Csr, RowsSortedByColumn) {
-  const CsrMatrix m = make_csr();
-  const auto row0 = m.row(0);
-  ASSERT_EQ(row0.size(), 2u);
-  EXPECT_EQ(row0[0].col, 1u);
-  EXPECT_EQ(row0[0].value, 1.0f);
-  EXPECT_EQ(row0[1].col, 3u);
-  EXPECT_EQ(row0[1].value, 3.0f);
-  const auto row2 = m.row(2);
-  ASSERT_EQ(row2.size(), 2u);
-  EXPECT_EQ(row2[0].col, 0u);
-  EXPECT_EQ(row2[1].col, 3u);
-}
-
-TEST(Csr, AtLookups) {
-  const CsrMatrix m = make_csr();
-  EXPECT_EQ(m.at(0, 1), 1.0f);
-  EXPECT_EQ(m.at(1, 0), 2.0f);
-  EXPECT_EQ(m.at(1, 1), 0.0f);            // missing -> default
-  EXPECT_EQ(m.at(1, 1, -1.0f), -1.0f);    // missing -> custom
-  EXPECT_THROW((void)m.at(3, 0), Error);  // out of bounds
-}
-
-TEST(Csr, DuplicateEntriesLastWins) {
-  const std::vector<std::uint32_t> rows{0, 0};
-  const std::vector<std::uint32_t> cols{0, 0};
-  const std::vector<float> vals{1.0f, 2.0f};
-  const CsrMatrix m(1, 1, rows, cols, vals);
-  EXPECT_EQ(m.nnz(), 1u);
-  EXPECT_EQ(m.at(0, 0), 2.0f);
-}
-
-TEST(Csr, EmptyRowsHandled) {
-  const std::vector<std::uint32_t> rows{2};
-  const std::vector<std::uint32_t> cols{0};
-  const std::vector<float> vals{1.0f};
-  const CsrMatrix m(4, 1, rows, cols, vals);
-  EXPECT_EQ(m.row(0).size(), 0u);
-  EXPECT_EQ(m.row(1).size(), 0u);
-  EXPECT_EQ(m.row(2).size(), 1u);
-  EXPECT_EQ(m.row(3).size(), 0u);
-}
-
-TEST(Csr, OutOfBoundsTripletThrows) {
-  const std::vector<std::uint32_t> rows{5};
-  const std::vector<std::uint32_t> cols{0};
-  const std::vector<float> vals{1.0f};
-  EXPECT_THROW(CsrMatrix(3, 1, rows, cols, vals), Error);
-}
-
-TEST(Csr, MismatchedTripletLengthsThrow) {
-  const std::vector<std::uint32_t> rows{0, 1};
-  const std::vector<std::uint32_t> cols{0};
-  const std::vector<float> vals{1.0f, 2.0f};
-  EXPECT_THROW(CsrMatrix(3, 1, rows, cols, vals), Error);
 }
 
 }  // namespace

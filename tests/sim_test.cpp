@@ -202,9 +202,62 @@ TEST(Simulator, SgxRunsAttestationAndAddsOverhead) {
   EXPECT_GT(r_sgx.total_time().seconds, r_native.total_time().seconds);
 }
 
+TEST(Simulator, BarrierEpochTrafficConservesTransportBytes) {
+  // Barrier rounds report each node's bytes since its previous record, the
+  // rule event rounds use: the records add up to every byte the transport
+  // counted after attestation, and attestation bytes stay out of epoch 0.
+  for (const auto security : {enclave::SecurityMode::kNative,
+                               enclave::SecurityMode::kSgxSimulated}) {
+    const bool secure = security != enclave::SecurityMode::kNative;
+    SCOPED_TRACE(secure ? "simulated SGX" : "native");
+    Scenario s = tiny_scenario();
+    s.rex.security = security;
+    ScenarioInputs inputs;
+    Simulator sim = make_scenario_simulator(s, inputs);
+    sim.run_attestation();
+    std::uint64_t attestation_bytes = 0;
+    for (core::NodeId id = 0; id < sim.node_count(); ++id) {
+      attestation_bytes += sim.transport().stats(id).bytes_total();
+    }
+    EXPECT_EQ(attestation_bytes > 0, secure);
+    sim.initialize_nodes();
+    sim.run_epochs(4);
+
+    double reported = 0.0;
+    for (const RoundRecord& r : sim.result().rounds) {
+      reported += r.mean_bytes_in_out * static_cast<double>(r.nodes_reporting);
+    }
+    std::uint64_t total = 0;
+    for (core::NodeId id = 0; id < sim.node_count(); ++id) {
+      total += sim.transport().stats(id).bytes_total();
+    }
+    const double accrued = static_cast<double>(total - attestation_bytes);
+    EXPECT_GT(accrued, 0.0);
+    EXPECT_NEAR(reported, accrued, 1e-9 * accrued);
+  }
+}
+
+/// The rex::Error message assembling `scenario` throws ("" if none).
+std::string assembly_error(const Scenario& scenario) {
+  ScenarioInputs inputs;
+  try {
+    (void)make_scenario_simulator(scenario, inputs);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Simulator, ValidatesSetup) {
-  Simulator::Setup setup;
-  EXPECT_THROW(Simulator{std::move(setup)}, Error);
+  Scenario one_node = tiny_scenario();
+  one_node.topology = TopologyKind::kFullyConnected;
+  one_node.nodes = 1;
+  EXPECT_NE(assembly_error(one_node).find("at least two nodes"),
+            std::string::npos);
+  Scenario no_platform = tiny_scenario();
+  no_platform.platforms = 0;
+  EXPECT_NE(assembly_error(no_platform).find("at least one platform"),
+            std::string::npos);
 }
 
 TEST(Centralized, ConvergesAndIsFastest) {
