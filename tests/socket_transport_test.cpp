@@ -86,6 +86,64 @@ TEST(FrameCodec, RoundTripsEveryFrameType) {
   EXPECT_EQ(parser.pending(), 0u);
 }
 
+TEST(FrameCodec, GoldenWireImagePerFrameType) {
+  // The bytes each encoder puts on the wire, pinned literally: a codec
+  // rewrite must reproduce them exactly, and the parser must hand back
+  // exactly the body behind the 5-byte [u32 length | u8 type] header.
+  Envelope env;
+  env.src = 3;
+  env.dst = 9;
+  env.kind = MessageKind::kResync;
+  env.payload = Bytes{1, 2, 3, 4, 5};
+  struct Golden {
+    const char* name;
+    FrameType type;
+    std::function<void(Bytes&)> encode;
+    Bytes wire;
+  };
+  const std::vector<Golden> goldens = {
+      {"hello", FrameType::kHello,
+       [](Bytes& out) { append_hello(out, 42, 0xDEADBEEFCAFEF00Dull); },
+       {0x13, 0x00, 0x00, 0x00, 0x01,               // length 19, HELLO
+        0x52, 0x45, 0x58, 0x4E,                     // magic "REXN"
+        0x01, 0x00,                                 // wire version 1
+        0x2A, 0x00, 0x00, 0x00,                     // node 42
+        0x0D, 0xF0, 0xFE, 0xCA, 0xEF, 0xBE, 0xAD, 0xDE}},  // fingerprint
+      {"data", FrameType::kData,
+       [&env](Bytes& out) { append_data(out, env); },
+       {0x0F, 0x00, 0x00, 0x00, 0x02,  // length 15, DATA
+        0x03, 0x00, 0x00, 0x00,        // src 3
+        0x09, 0x00, 0x00, 0x00,        // dst 9
+        0x02,                          // kind: resync
+        0x01, 0x02, 0x03, 0x04, 0x05}},
+      {"ping", FrameType::kPing, [](Bytes& out) { append_ping(out, 777); },
+       {0x09, 0x00, 0x00, 0x00, 0x03,  // length 9, PING
+        0x09, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}},
+      {"pong", FrameType::kPong, [](Bytes& out) { append_pong(out, 778); },
+       {0x09, 0x00, 0x00, 0x00, 0x04,  // length 9, PONG
+        0x0A, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}},
+      {"done", FrameType::kDone, [](Bytes& out) { append_done(out, 42, 11); },
+       {0x0D, 0x00, 0x00, 0x00, 0x05,  // length 13, DONE
+        0x2A, 0x00, 0x00, 0x00,        // node 42
+        0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}},  // 11 epochs
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.name);
+    Bytes wire = {0xEE};  // encoders append, never clear
+    golden.encode(wire);
+    EXPECT_EQ(Bytes(wire.begin() + 1, wire.end()), golden.wire);
+
+    FrameParser parser;
+    parser.feed(golden.wire);
+    const std::optional<Frame> frame = parser.next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->type, golden.type);
+    EXPECT_EQ(Bytes(frame->body.begin(), frame->body.end()),
+              Bytes(golden.wire.begin() + 5, golden.wire.end()));
+    EXPECT_EQ(parser.pending(), 0u);
+  }
+}
+
 TEST(FrameCodec, ReassemblesAcrossArbitraryChunking) {
   // The same byte stream must decode identically no matter how TCP
   // segments it — feed it in seeded random chunks, many rounds.
