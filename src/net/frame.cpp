@@ -1,149 +1,101 @@
 #include "net/frame.hpp"
 
-
+#include "serialize/binary.hpp"
 #include "support/error.hpp"
 
 namespace rex::net {
 
 namespace {
 
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+/// Appends one frame whose body is `head` followed by `tail`. Two parts so
+/// a data frame copies its payload once instead of staging it in a body.
+void append_frame(Bytes& out, FrameType type, BytesView head,
+                  BytesView tail = {}) {
+  const std::size_t body = head.size() + tail.size();
+  REX_REQUIRE(body <= kMaxFrameBody, "frame body over the size cap");
+  const std::size_t at = out.size();
+  out.resize(at + 5);
+  store_le32(out.data() + at, static_cast<std::uint32_t>(1 + body));
+  out[at + 4] = static_cast<std::uint8_t>(type);
+  append(out, head);
+  append(out, tail);
 }
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+void append_token(Bytes& out, FrameType type, std::uint64_t token) {
+  serialize::BinaryWriter body;
+  body.u64(token);
+  append_frame(out, type, body.buffer());
 }
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-/// Little-endian reads off a cursor; false once the body runs short.
-struct Reader {
-  BytesView view;
-  std::size_t pos = 0;
-
-  bool u8(std::uint8_t& v) {
-    if (pos + 1 > view.size()) return false;
-    v = view[pos++];
-    return true;
-  }
-  bool u16(std::uint16_t& v) {
-    if (pos + 2 > view.size()) return false;
-    v = static_cast<std::uint16_t>(view[pos] | (view[pos + 1] << 8));
-    pos += 2;
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (pos + 4 > view.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(view[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos + 8 > view.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(view[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return true;
-  }
-};
 
 }  // namespace
 
-void append_frame(Bytes& out, FrameType type, BytesView body) {
-  REX_REQUIRE(body.size() <= kMaxFrameBody, "frame body over the size cap");
-  put_u32(out, static_cast<std::uint32_t>(1 + body.size()));
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.insert(out.end(), body.begin(), body.end());
-}
-
 void append_hello(Bytes& out, NodeId node, std::uint64_t fingerprint) {
-  Bytes body;
-  body.reserve(18);
-  put_u32(body, kHelloMagic);
-  put_u16(body, kWireVersion);
-  put_u32(body, node);
-  put_u64(body, fingerprint);
-  append_frame(out, FrameType::kHello, body);
+  serialize::BinaryWriter body;
+  body.u32(kHelloMagic);
+  body.u16(kWireVersion);
+  body.u32(node);
+  body.u64(fingerprint);
+  append_frame(out, FrameType::kHello, body.buffer());
 }
 
 void append_data(Bytes& out, const Envelope& envelope) {
-  // Header layout == Envelope::kHeaderSize accounting: the u32 length
-  // prefix plus src/dst/kind. Emitted inline (not via append_frame) to
-  // avoid staging the payload through a temporary body vector.
-  const std::size_t body = 2 * sizeof(NodeId) + 1 + envelope.payload.size();
-  REX_REQUIRE(body + 1 <= kMaxFrameBody, "envelope payload over the size cap");
-  put_u32(out, static_cast<std::uint32_t>(1 + body));
-  out.push_back(static_cast<std::uint8_t>(FrameType::kData));
-  put_u32(out, envelope.src);
-  put_u32(out, envelope.dst);
-  out.push_back(static_cast<std::uint8_t>(envelope.kind));
-  const BytesView payload = envelope.payload;
-  out.insert(out.end(), payload.begin(), payload.end());
+  // The header is what Envelope::kHeaderSize accounts: the u32 length
+  // prefix plus src/dst/kind.
+  serialize::BinaryWriter head;
+  head.u32(envelope.src);
+  head.u32(envelope.dst);
+  head.u8(static_cast<std::uint8_t>(envelope.kind));
+  append_frame(out, FrameType::kData, head.buffer(), envelope.payload);
 }
 
 void append_ping(Bytes& out, std::uint64_t token) {
-  Bytes body;
-  body.reserve(8);
-  put_u64(body, token);
-  append_frame(out, FrameType::kPing, body);
+  append_token(out, FrameType::kPing, token);
 }
 
 void append_pong(Bytes& out, std::uint64_t token) {
-  Bytes body;
-  body.reserve(8);
-  put_u64(body, token);
-  append_frame(out, FrameType::kPong, body);
+  append_token(out, FrameType::kPong, token);
 }
 
 void append_done(Bytes& out, NodeId node, std::uint64_t epochs) {
-  Bytes body;
-  body.reserve(12);
-  put_u32(body, node);
-  put_u64(body, epochs);
-  append_frame(out, FrameType::kDone, body);
+  serialize::BinaryWriter body;
+  body.u32(node);
+  body.u64(epochs);
+  append_frame(out, FrameType::kDone, body.buffer());
 }
 
-bool parse_data(BytesView body, DataFrame& out) {
-  Reader r{body};
-  std::uint8_t kind = 0;
-  if (!r.u32(out.src) || !r.u32(out.dst) || !r.u8(kind)) return false;
-  if (kind > static_cast<std::uint8_t>(MessageKind::kResync)) return false;
-  out.kind = static_cast<MessageKind>(kind);
-  out.payload = body.subspan(r.pos);
-  return true;
+// Braced initializers evaluate left to right, so the fields read in wire
+// order.
+
+HelloFrame decode_hello(BytesView body) {
+  serialize::BinaryReader r(body);
+  REX_REQUIRE(r.u32() == kHelloMagic, "HELLO without the rex_node magic");
+  const HelloFrame hello{r.u16(), r.u32(), r.u64()};
+  r.expect_end();
+  return hello;
 }
 
-bool parse_hello(BytesView body, HelloFrame& out) {
-  Reader r{body};
-  std::uint32_t magic = 0;
-  if (!r.u32(magic) || magic != kHelloMagic) return false;
-  if (!r.u16(out.version) || !r.u32(out.node) || !r.u64(out.fingerprint)) {
-    return false;
-  }
-  return r.pos == body.size();
+DataFrame decode_data(BytesView body) {
+  serialize::BinaryReader r(body);
+  const NodeId src = r.u32();
+  const NodeId dst = r.u32();
+  const std::uint8_t kind = r.u8();
+  REX_REQUIRE(kind <= static_cast<std::uint8_t>(MessageKind::kResync),
+              "data frame with an unknown message kind");
+  return {src, dst, static_cast<MessageKind>(kind), r.raw(r.remaining())};
 }
 
-bool parse_ping_token(BytesView body, std::uint64_t& token) {
-  Reader r{body};
-  return r.u64(token) && r.pos == body.size();
+std::uint64_t decode_ping_token(BytesView body) {
+  serialize::BinaryReader r(body);
+  const std::uint64_t token = r.u64();
+  r.expect_end();
+  return token;
 }
 
-bool parse_done(BytesView body, DoneFrame& out) {
-  Reader r{body};
-  return r.u32(out.node) && r.u64(out.epochs) && r.pos == body.size();
+DoneFrame decode_done(BytesView body) {
+  serialize::BinaryReader r(body);
+  const DoneFrame done{r.u32(), r.u64()};
+  r.expect_end();
+  return done;
 }
 
 void FrameParser::feed(BytesView bytes) {
@@ -160,10 +112,7 @@ void FrameParser::feed(BytesView bytes) {
 std::optional<Frame> FrameParser::next() {
   const std::size_t avail = buffer_.size() - head_;
   if (avail < 4) return std::nullopt;
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(buffer_[head_ + i]) << (8 * i);
-  }
+  const std::uint32_t length = load_le32(buffer_.data() + head_);
   REX_REQUIRE(length >= 1 && length <= kMaxFrameBody + 1,
               "malformed frame length prefix");
   if (avail < 4 + static_cast<std::size_t>(length)) return std::nullopt;
@@ -171,9 +120,8 @@ std::optional<Frame> FrameParser::next() {
   REX_REQUIRE(type >= static_cast<std::uint8_t>(FrameType::kHello) &&
                   type <= static_cast<std::uint8_t>(FrameType::kDone),
               "unknown frame type");
-  Frame frame;
-  frame.type = static_cast<FrameType>(type);
-  frame.body = BytesView(buffer_).subspan(head_ + 5, length - 1);
+  const Frame frame{static_cast<FrameType>(type),
+                    BytesView(buffer_).subspan(head_ + 5, length - 1)};
   head_ += 4 + length;
   return frame;
 }

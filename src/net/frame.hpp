@@ -46,13 +46,13 @@ inline constexpr std::uint16_t kWireVersion = 1;
 inline constexpr std::size_t kMaxFrameBody = 64u << 20;
 
 /// One decoded frame: the type plus a view into the parser's buffer (valid
-/// until the next FrameParser::next / feed call).
+/// until the next FrameParser::feed call).
 struct Frame {
   FrameType type = FrameType::kData;
   BytesView body;
 };
 
-/// Decoded kData body. `payload` views the parser buffer; the transport
+/// Decoded kData body. `payload` views the frame body; the transport
 /// copies it into a pooled SharedBytes before handing it to the host.
 struct DataFrame {
   NodeId src = 0;
@@ -61,7 +61,7 @@ struct DataFrame {
   BytesView payload;
 };
 
-/// Decoded kHello body.
+/// Decoded kHello body (the magic is checked, not kept).
 struct HelloFrame {
   std::uint16_t version = 0;
   NodeId node = 0;
@@ -74,21 +74,24 @@ struct DoneFrame {
   std::uint64_t epochs = 0;
 };
 
-// ===== Encoders (append to `out`, never clear it) =====
+// ===== Encoders (append one whole frame to `out`, never clear it) =====
 
-void append_frame(Bytes& out, FrameType type, BytesView body);
 void append_hello(Bytes& out, NodeId node, std::uint64_t fingerprint);
 void append_data(Bytes& out, const Envelope& envelope);
 void append_ping(Bytes& out, std::uint64_t token);
 void append_pong(Bytes& out, std::uint64_t token);
 void append_done(Bytes& out, NodeId node, std::uint64_t epochs);
 
-// ===== Body decoders (false on malformed/truncated bodies) =====
+// ===== Body decoders =====
+// Each reads through serialize::BinaryReader and throws rex::Error on a
+// truncated body, trailing bytes, a wrong HELLO magic or an unknown message
+// kind: to the transport, any throw is a protocol violation.
 
-[[nodiscard]] bool parse_data(BytesView body, DataFrame& out);
-[[nodiscard]] bool parse_hello(BytesView body, HelloFrame& out);
-[[nodiscard]] bool parse_ping_token(BytesView body, std::uint64_t& token);
-[[nodiscard]] bool parse_done(BytesView body, DoneFrame& out);
+[[nodiscard]] HelloFrame decode_hello(BytesView body);
+[[nodiscard]] DataFrame decode_data(BytesView body);
+/// PING and PONG carry the same body: the opaque echo token.
+[[nodiscard]] std::uint64_t decode_ping_token(BytesView body);
+[[nodiscard]] DoneFrame decode_done(BytesView body);
 
 /// Incremental frame extractor over a TCP byte stream. feed() appends raw
 /// received bytes; next() yields complete frames in order, retaining any

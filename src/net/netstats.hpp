@@ -71,16 +71,6 @@ class NetStats {
     return peers_;
   }
 
-  [[nodiscard]] std::uint64_t total_bytes_tx() const {
-    std::uint64_t total = 0;
-    for (const auto& [id, stats] : peers_) total += stats.bytes_tx;
-    return total;
-  }
-  [[nodiscard]] std::uint64_t total_bytes_rx() const {
-    std::uint64_t total = 0;
-    for (const auto& [id, stats] : peers_) total += stats.bytes_rx;
-    return total;
-  }
   [[nodiscard]] std::uint64_t total_reconnects() const {
     std::uint64_t total = 0;
     for (const auto& [id, stats] : peers_) total += stats.reconnects;

@@ -62,10 +62,7 @@ SocketTransport::SocketTransport(Options options, Transport& local)
 }
 
 SocketTransport::~SocketTransport() {
-  for (auto& [id, peer] : peers_) {
-    if (peer.fd >= 0) ::close(peer.fd);
-  }
-  for (auto& [fd, pending] : pending_) ::close(fd);
+  for (auto& [fd, conn] : conns_) ::close(fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
@@ -124,9 +121,11 @@ SocketTransport::Peer& SocketTransport::peer_ref(NodeId id) {
 
 // ===== Outbound =====
 
-void SocketTransport::queue_frame(Peer& peer, std::size_t frame_start) {
+void SocketTransport::queue_frame(NodeId id, Peer& peer,
+                                  std::size_t frame_start) {
   peer.sizes.push_back(
       static_cast<std::uint32_t>(peer.txbuf.size() - frame_start));
+  netstats_.peer(id).frames_tx++;
 }
 
 void SocketTransport::pump_outbox() {
@@ -137,7 +136,6 @@ void SocketTransport::pump_outbox() {
   for (Envelope& env : batch) {
     local_.record_send(env);
     Peer& peer = peer_ref(env.dst);
-    PeerStats& stats = netstats_.peer(env.dst);
     if (peer.mark > 0 &&
         (peer.mark == peer.txbuf.size() || peer.mark >= kTxCompactWatermark)) {
       peer.txbuf.erase(peer.txbuf.begin(),
@@ -148,9 +146,8 @@ void SocketTransport::pump_outbox() {
     }
     const std::size_t start = peer.txbuf.size();
     append_data(peer.txbuf, env);
-    queue_frame(peer, start);
-    stats.frames_tx++;
-    stats.data_tx++;
+    queue_frame(env.dst, peer, start);
+    netstats_.peer(env.dst).data_tx++;
   }
   batch.clear();  // release payload references before flushing
   for (auto& [id, peer] : peers_) {
@@ -163,40 +160,33 @@ void SocketTransport::send_done(std::uint64_t epochs) {
   for (auto& [id, peer] : peers_) {
     const std::size_t start = peer.txbuf.size();
     append_done(peer.txbuf, options_.self, epochs);
-    queue_frame(peer, start);
-    netstats_.peer(id).frames_tx++;
+    queue_frame(id, peer, start);
     flush_peer(id, now_s);
   }
+}
+
+void SocketTransport::open_stream(NodeId id, double now_s) {
+  Peer& peer = peers_.at(id);
+  netstats_.peer(id).frames_tx++;  // one HELLO per connection
+  // head == mark here: the last drop rewound it.
+  const bool reused =
+      !peer.sizes.empty() &&
+      peer.txbuf[peer.mark + 4] == static_cast<std::uint8_t>(FrameType::kHello);
+  if (!reused) {
+    Bytes hello;
+    append_hello(hello, options_.self, options_.fingerprint);
+    peer.txbuf.insert(
+        peer.txbuf.begin() + static_cast<std::ptrdiff_t>(peer.mark),
+        hello.begin(), hello.end());
+    peer.sizes.push_front(static_cast<std::uint32_t>(hello.size()));
+  }
+  flush_peer(id, now_s);
 }
 
 void SocketTransport::flush_peer(NodeId id, double now_s) {
   Peer& peer = peers_.at(id);
   if (peer.fd < 0 || peer.connecting) return;
   PeerStats& stats = netstats_.peer(id);
-
-  // The HELLO always leads the stream on a fresh connection, even when data
-  // frames were queued while the link was down.
-  while (peer.hello_head < peer.hello.size()) {
-    const ssize_t n =
-        ::send(peer.fd, peer.hello.data() + peer.hello_head,
-               peer.hello.size() - peer.hello_head, MSG_NOSIGNAL);
-    if (n > 0) {
-      peer.hello_head += static_cast<std::size_t>(n);
-      stats.bytes_tx += static_cast<std::uint64_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!peer.want_write) {
-        peer.want_write = true;
-        update_interest(id);
-      }
-      return;
-    }
-    drop_connection(id, now_s);
-    return;
-  }
-
   while (peer.head < peer.txbuf.size()) {
     const ssize_t n = ::send(peer.fd, peer.txbuf.data() + peer.head,
                              peer.txbuf.size() - peer.head, MSG_NOSIGNAL);
@@ -278,39 +268,26 @@ void SocketTransport::start_connect(NodeId id, double now_s) {
   peer.fd = fd;
   peer.connecting = (rc != 0);
   peer.want_write = peer.connecting;
-  fd_to_peer_[fd] = id;
+  conns_[fd].peer = id;
   epoll_event ev{};
   ev.events = EPOLLIN | (peer.connecting ? EPOLLOUT : 0u);
   ev.data.fd = fd;
   REX_REQUIRE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0,
               "epoll_ctl(add) failed");
-  if (!peer.connecting) on_connected(id, now_s);
-}
-
-void SocketTransport::on_connected(NodeId id, double now_s) {
-  Peer& peer = peers_.at(id);
-  peer.connecting = false;
-  peer.hello.clear();
-  peer.hello_head = 0;
-  append_hello(peer.hello, options_.self, options_.fingerprint);
-  netstats_.peer(id).frames_tx++;
-  flush_peer(id, now_s);
+  if (!peer.connecting) open_stream(id, now_s);
 }
 
 void SocketTransport::drop_connection(NodeId id, double now_s) {
   Peer& peer = peers_.at(id);
   if (peer.fd >= 0) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, peer.fd, nullptr);
-    fd_to_peer_.erase(peer.fd);
     ::close(peer.fd);
+    conns_.erase(peer.fd);
     peer.fd = -1;
   }
   peer.connecting = false;
   peer.identified = false;
   peer.want_write = false;
-  peer.parser = FrameParser{};
-  peer.hello.clear();
-  peer.hello_head = 0;
   peer.head = peer.mark;  // resend the interrupted frame whole
   if (peer.initiator) {
     peer.backoff_s = peer.backoff_s <= 0.0
@@ -318,6 +295,17 @@ void SocketTransport::drop_connection(NodeId id, double now_s) {
                          : std::min(peer.backoff_s * 2.0, kReconnectMaxS);
     peer.next_attempt_s = now_s + peer.backoff_s;
   }
+}
+
+void SocketTransport::close_conn(int fd, double now_s) {
+  const std::optional<NodeId> peer = conns_.at(fd).peer;
+  if (peer) {
+    drop_connection(*peer, now_s);
+    return;
+  }
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
+  conns_.erase(fd);
 }
 
 void SocketTransport::accept_ready() {
@@ -336,14 +324,8 @@ void SocketTransport::accept_ready() {
       ::close(fd);
       continue;
     }
-    pending_.emplace(fd, Pending{});
+    conns_.emplace(fd, Conn{});
   }
-}
-
-void SocketTransport::close_pending(int fd) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  pending_.erase(fd);
 }
 
 void SocketTransport::check_hello(const HelloFrame& hello) const {
@@ -354,46 +336,41 @@ void SocketTransport::check_hello(const HelloFrame& hello) const {
               "(fingerprint mismatch)");
 }
 
-void SocketTransport::adopt_pending(int fd, Pending&& pending,
-                                    const HelloFrame& hello, double now_s) {
-  pending_.erase(fd);
-  const NodeId id = hello.node;
+void SocketTransport::identify(int fd, NodeId id, double now_s) {
+  Conn& conn = conns_.at(fd);
   Peer& peer = peers_.at(id);
-  if (peer.fd >= 0) drop_connection(id, now_s);  // stale conn superseded
-
-  peer.fd = fd;
-  peer.connecting = false;
-  peer.want_write = false;
-  fd_to_peer_[fd] = id;
-  peer.parser = std::move(pending.parser);
+  const bool accepted = !conn.peer;
+  if (accepted) {
+    if (peer.fd >= 0) drop_connection(id, now_s);  // stale conn superseded
+    conn.peer = id;
+    peer.fd = fd;
+  }
   peer.identified = true;
   peer.backoff_s = 0.0;
   peer.next_ping_s = now_s;
-
   PeerStats& stats = netstats_.peer(id);
-  stats.bytes_rx += pending.bytes_rx;
-  stats.frames_rx++;  // the HELLO just consumed
   stats.record_connect();
-
-  peer.hello.clear();
-  peer.hello_head = 0;
-  append_hello(peer.hello, options_.self, options_.fingerprint);
-  stats.frames_tx++;
-  flush_peer(id, now_s);
+  stats.bytes_rx += std::exchange(conn.bytes_rx, 0);
+  stats.frames_rx++;  // the HELLO
+  if (accepted) open_stream(id, now_s);  // a dialed stream opened on connect
 }
 
 // ===== Inbound =====
 
-std::size_t SocketTransport::read_peer(NodeId id, double now_s) {
-  Peer& peer = peers_.at(id);
-  PeerStats& stats = netstats_.peer(id);
+std::size_t SocketTransport::read_conn(int fd, double now_s) {
+  Conn& conn = conns_.at(fd);
+  // An identified socket bills its peer's ledger directly; identify()
+  // credits what arrived before.
+  std::uint64_t& bytes_rx = conn.peer && peers_.at(*conn.peer).identified
+                                ? netstats_.peer(*conn.peer).bytes_rx
+                                : conn.bytes_rx;
   bool eof = false;
   std::uint8_t chunk[kReadChunk];
-  while (peer.fd >= 0) {
-    const ssize_t n = ::recv(peer.fd, chunk, sizeof chunk, 0);
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n > 0) {
-      stats.bytes_rx += static_cast<std::uint64_t>(n);
-      peer.parser.feed(BytesView(chunk, static_cast<std::size_t>(n)));
+      bytes_rx += static_cast<std::uint64_t>(n);
+      conn.parser.feed(BytesView(chunk, static_cast<std::size_t>(n)));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -401,101 +378,94 @@ std::size_t SocketTransport::read_peer(NodeId id, double now_s) {
     eof = true;  // orderly close or hard error: drain what we have, drop
     break;
   }
-  const std::size_t delivered = drain_frames(id, now_s);
-  if (eof && peers_.at(id).fd >= 0) drop_connection(id, now_s);
+  const std::size_t delivered = drain_frames(fd, now_s);
+  if (eof && conns_.count(fd) != 0) close_conn(fd, now_s);
   return delivered;
 }
 
-std::size_t SocketTransport::drain_frames(NodeId id, double now_s) {
+std::size_t SocketTransport::drain_frames(int fd, double now_s) {
   std::size_t delivered = 0;
-  Peer& peer = peers_.at(id);
-  PeerStats& stats = netstats_.peer(id);
-  while (peer.fd >= 0) {
-    std::optional<Frame> frame;
+  for (auto it = conns_.find(fd); it != conns_.end(); it = conns_.find(fd)) {
+    Conn& conn = it->second;
+    std::optional<HelloFrame> hello;
+    std::optional<DataFrame> data;
     try {
-      frame = peer.parser.next();
-    } catch (const Error&) {  // malformed stream: unrecoverable, drop
-      drop_connection(id, now_s);
+      const std::optional<Frame> frame = conn.parser.next();
+      if (!frame) break;
+      if (!conn.peer || !peers_.at(*conn.peer).identified) {
+        // The first frame on every socket: a HELLO from the peer it was
+        // dialed for, or on an accepted one, from a registered peer that
+        // this side does not dial.
+        REX_REQUIRE(frame->type == FrameType::kHello,
+                    "first frame is not a HELLO");
+        hello = decode_hello(frame->body);
+        const auto sender = peers_.find(hello->node);
+        REX_REQUIRE(conn.peer ? hello->node == *conn.peer
+                              : sender != peers_.end() &&
+                                    !sender->second.initiator,
+                    "HELLO from a node this socket does not serve");
+      } else {
+        const NodeId id = *conn.peer;
+        Peer& peer = peers_.at(id);
+        PeerStats& stats = netstats_.peer(id);
+        stats.frames_rx++;
+        switch (frame->type) {
+          case FrameType::kHello:
+            REX_REQUIRE(false, "second HELLO on one connection");
+            break;
+          case FrameType::kData:
+            data = decode_data(frame->body);
+            REX_REQUIRE(data->src == id && data->dst == options_.self,
+                        "data frame for another edge");
+            break;
+          case FrameType::kPing: {
+            const std::size_t start = peer.txbuf.size();
+            append_pong(peer.txbuf, decode_ping_token(frame->body));
+            queue_frame(id, peer, start);
+            break;
+          }
+          case FrameType::kPong: {
+            const std::uint64_t token = decode_ping_token(frame->body);
+            const std::uint64_t now_ns = mono_now_ns();
+            if (now_ns >= token) {
+              stats.record_rtt(static_cast<double>(now_ns - token) * 1e-9);
+            }
+            break;
+          }
+          case FrameType::kDone:
+            REX_REQUIRE(decode_done(frame->body).node == id,
+                        "DONE for another node");
+            peer.done = true;
+            break;
+        }
+      }
+    } catch (const Error&) {  // protocol violation: unrecoverable, drop
+      close_conn(fd, now_s);
       return delivered;
     }
-    if (!frame) break;
-    stats.frames_rx++;
-    switch (frame->type) {
-      case FrameType::kHello: {
-        HelloFrame hello;
-        if (peer.identified || !parse_hello(frame->body, hello) ||
-            hello.node != id) {
-          drop_connection(id, now_s);
-          return delivered;
-        }
-        check_hello(hello);
-        peer.identified = true;
-        peer.backoff_s = 0.0;
-        peer.next_ping_s = now_s;
-        stats.record_connect();
-        break;
-      }
-      case FrameType::kData: {
-        DataFrame data;
-        if (!peer.identified || !parse_data(frame->body, data) ||
-            data.src != id || data.dst != options_.self) {
-          drop_connection(id, now_s);
-          return delivered;
-        }
-        Bytes payload = local_.payload_pool().acquire();
-        payload.assign(data.payload.begin(), data.payload.end());
-        Envelope env;
-        env.src = data.src;
-        env.dst = data.dst;
-        env.kind = data.kind;
-        env.payload = SharedBytes::pooled(local_.payload_pool(),
-                                          std::move(payload));
-        local_.record_delivery(env);
-        stats.data_rx++;
-        REX_REQUIRE(static_cast<bool>(deliver_),
-                    "deliver callback not installed");
-        deliver_(std::move(env));
-        delivered++;
-        break;
-      }
-      case FrameType::kPing: {
-        std::uint64_t token = 0;
-        if (!parse_ping_token(frame->body, token)) {
-          drop_connection(id, now_s);
-          return delivered;
-        }
-        const std::size_t start = peer.txbuf.size();
-        append_pong(peer.txbuf, token);
-        queue_frame(peer, start);
-        stats.frames_tx++;
-        break;
-      }
-      case FrameType::kPong: {
-        std::uint64_t token = 0;
-        if (!parse_ping_token(frame->body, token)) {
-          drop_connection(id, now_s);
-          return delivered;
-        }
-        const std::uint64_t now_ns = mono_now_ns();
-        if (now_ns >= token) {
-          stats.record_rtt(static_cast<double>(now_ns - token) * 1e-9);
-        }
-        break;
-      }
-      case FrameType::kDone: {
-        DoneFrame done;
-        if (!parse_done(frame->body, done) || done.node != id) {
-          drop_connection(id, now_s);
-          return delivered;
-        }
-        peer.done = true;
-        peer.done_epochs = done.epochs;
-        break;
-      }
+    if (hello) {
+      check_hello(*hello);  // a config mismatch throws: retrying cannot fix it
+      identify(fd, hello->node, now_s);
+    } else if (data) {
+      Bytes payload = local_.payload_pool().acquire();
+      payload.assign(data->payload.begin(), data->payload.end());
+      Envelope env;
+      env.src = data->src;
+      env.dst = data->dst;
+      env.kind = data->kind;
+      env.payload =
+          SharedBytes::pooled(local_.payload_pool(), std::move(payload));
+      local_.record_delivery(env);
+      netstats_.peer(env.src).data_rx++;
+      REX_REQUIRE(static_cast<bool>(deliver_),
+                  "deliver callback not installed");
+      deliver_(std::move(env));
+      delivered++;
     }
   }
-  if (peer.fd >= 0 && peer.head < peer.txbuf.size()) {
-    flush_peer(id, now_s);  // pongs queued above
+  const auto it = conns_.find(fd);
+  if (it != conns_.end() && it->second.peer) {
+    flush_peer(*it->second.peer, now_s);  // pongs queued above
   }
   return delivered;
 }
@@ -510,8 +480,7 @@ void SocketTransport::service_timers(double now_s) {
     if (peer.identified && now_s >= peer.next_ping_s) {
       const std::size_t start = peer.txbuf.size();
       append_ping(peer.txbuf, mono_now_ns());
-      queue_frame(peer, start);
-      netstats_.peer(id).frames_tx++;
+      queue_frame(id, peer, start);
       peer.next_ping_s = now_s + kPingPeriodS;
       flush_peer(id, now_s);
     }
@@ -553,84 +522,31 @@ std::size_t SocketTransport::poll(int timeout_ms) {
       accept_ready();
       continue;
     }
+    const auto it = conns_.find(fd);
+    if (it == conns_.end()) continue;  // closed earlier in this batch
+    const std::optional<NodeId> id = it->second.peer;
 
-    if (auto pend_it = pending_.find(fd); pend_it != pending_.end()) {
-      if ((flags & (EPOLLERR | EPOLLHUP)) != 0 && (flags & EPOLLIN) == 0) {
-        close_pending(fd);
-        continue;
-      }
-      // Read everything available; identify once the HELLO is complete.
-      Pending& pending = pend_it->second;
-      bool dead = false;
-      std::uint8_t chunk[kReadChunk];
-      for (;;) {
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n > 0) {
-          pending.bytes_rx += static_cast<std::uint64_t>(n);
-          pending.parser.feed(BytesView(chunk, static_cast<std::size_t>(n)));
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        dead = true;
-        break;
-      }
-      std::optional<Frame> frame;
-      try {
-        frame = pending.parser.next();
-      } catch (const Error&) {
-        close_pending(fd);
-        continue;
-      }
-      if (frame) {
-        HelloFrame hello;
-        if (frame->type != FrameType::kHello ||
-            !parse_hello(frame->body, hello) ||
-            peers_.find(hello.node) == peers_.end() ||
-            peers_.at(hello.node).initiator) {
-          close_pending(fd);
-          continue;
-        }
-        check_hello(hello);
-        Pending adopted = std::move(pending);
-        adopt_pending(fd, std::move(adopted), hello, now_s);
-        delivered += drain_frames(hello.node, now_s);
-      } else if (dead) {
-        close_pending(fd);
-      }
-      continue;
-    }
-
-    auto it = fd_to_peer_.find(fd);
-    if (it == fd_to_peer_.end()) continue;  // dropped earlier in this batch
-    const NodeId id = it->second;
-    Peer& peer = peers_.at(id);
-
-    if (peer.connecting) {
+    if (id && peers_.at(*id).connecting) {
       int err = 0;
       socklen_t len = sizeof err;
       ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
       if (err != 0 || (flags & (EPOLLERR | EPOLLHUP)) != 0) {
-        drop_connection(id, now_s);  // schedules the backoff retry
+        drop_connection(*id, now_s);  // schedules the backoff retry
       } else {
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-        peer.want_write = false;
-        on_connected(id, now_s);
+        peers_.at(*id).connecting = false;
+        open_stream(*id, now_s);  // its flush disarms EPOLLOUT once drained
       }
       continue;
     }
 
     if ((flags & EPOLLIN) != 0) {
-      delivered += read_peer(id, now_s);
+      delivered += read_conn(fd, now_s);
     } else if ((flags & (EPOLLERR | EPOLLHUP)) != 0) {
-      drop_connection(id, now_s);
+      close_conn(fd, now_s);
       continue;
     }
-    if (fd_to_peer_.count(fd) != 0 && (flags & EPOLLOUT) != 0) {
-      flush_peer(id, now_s);
+    if (id && conns_.count(fd) != 0 && (flags & EPOLLOUT) != 0) {
+      flush_peer(*id, now_s);
     }
   }
 
@@ -649,7 +565,6 @@ bool SocketTransport::all_connected() const {
 
 bool SocketTransport::tx_idle() const {
   for (const auto& [id, peer] : peers_) {
-    if (peer.hello_head < peer.hello.size()) return false;
     if (peer.head < peer.txbuf.size()) return false;
   }
   return true;

@@ -40,6 +40,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -126,29 +127,22 @@ class SocketTransport {
   [[nodiscard]] NetStats& netstats() { return netstats_; }
 
  private:
-  /// One neighbor edge and its (possibly down) connection.
+  /// One neighbor edge: its tx stream, which outlives any one connection.
   struct Peer {
     SocketEndpoint endpoint;
     bool initiator = false;
 
-    int fd = -1;
+    int fd = -1;               // the live socket, once dialed or identified
     bool connecting = false;   // nonblocking connect() in flight
     bool identified = false;   // their HELLO validated on the current conn
     bool want_write = false;   // EPOLLOUT currently armed
 
-    FrameParser parser;
-
-    /// HELLO bytes for the current connection; flushed before txbuf so the
-    /// handshake is always the stream's first frame even when data frames
-    /// were queued while the link was down.
-    Bytes hello;
-    std::size_t hello_head = 0;
-
-    /// Encoded frames awaiting the socket. `head` is the flush cursor,
-    /// `mark` the start of the frame `head` sits in, `sizes` the byte
-    /// length of each queued frame from `mark` on — on a drop, `head`
-    /// rewinds to `mark` so the next connection resends the interrupted
-    /// frame whole instead of starting mid-frame.
+    /// Encoded frames awaiting the socket, this side's HELLO first on each
+    /// connection. `head` is the flush cursor, `mark` the start of the
+    /// frame `head` sits in, `sizes` the byte length of each queued frame
+    /// from `mark` on — on a drop, `head` rewinds to `mark` so the next
+    /// connection resends the interrupted frame whole instead of starting
+    /// mid-frame.
     Bytes txbuf;
     std::size_t head = 0;
     std::size_t mark = 0;
@@ -159,34 +153,42 @@ class SocketTransport {
     double next_ping_s = 0.0;
 
     bool done = false;
-    std::uint64_t done_epochs = 0;
   };
 
-  /// Accepted connection awaiting its identifying HELLO.
-  struct Pending {
+  /// One open socket's inbound side, dialed or accepted alike.
+  struct Conn {
+    /// The peer this socket serves: set when dialed, and by the HELLO on an
+    /// accepted socket.
+    std::optional<NodeId> peer;
     FrameParser parser;
+    /// Bytes received before the peer's HELLO identified the socket,
+    /// credited to its ledger then.
     std::uint64_t bytes_rx = 0;
   };
 
   [[nodiscard]] Peer& peer_ref(NodeId id);
   void setup_listener(const Options& options);
   void start_connect(NodeId id, double now_s);
-  void on_connected(NodeId id, double now_s);
+  /// Opens a connection's tx stream: queues this side's HELLO at the
+  /// rewind mark, or reuses the one a drop left unsent there, and flushes.
+  void open_stream(NodeId id, double now_s);
+  /// Closes `id`'s socket (if any), rewinds its tx stream and, for an
+  /// initiator, schedules the redial.
   void drop_connection(NodeId id, double now_s);
+  /// Closes `fd`, through drop_connection when a peer owns it.
+  void close_conn(int fd, double now_s);
   void accept_ready();
-  void close_pending(int fd);
-  /// Binds an accepted, HELLO-identified fd to its peer slot.
-  void adopt_pending(int fd, Pending&& pending, const HelloFrame& hello,
-                     double now_s);
-  void queue_frame(Peer& peer, std::size_t frame_start);
+  /// Counts the frame appended to `peer.txbuf` from `frame_start` on.
+  void queue_frame(NodeId id, Peer& peer, std::size_t frame_start);
   void flush_peer(NodeId id, double now_s);
   void update_interest(NodeId id);
-  std::size_t read_peer(NodeId id, double now_s);
-  /// Processes every complete frame buffered for `id`; returns envelopes
+  std::size_t read_conn(int fd, double now_s);
+  /// Processes every complete frame buffered on `fd`; returns envelopes
   /// delivered. On the first protocol violation the connection drops.
-  std::size_t drain_frames(NodeId id, double now_s);
-  void handle_hello(Peer& peer, NodeId id, const HelloFrame& hello,
-                    double now_s);
+  std::size_t drain_frames(int fd, double now_s);
+  /// The peer's HELLO validated on `fd`: binds an accepted socket and
+  /// marks the peer connected.
+  void identify(int fd, NodeId id, double now_s);
   void check_hello(const HelloFrame& hello) const;
   void service_timers(double now_s);
 
@@ -200,8 +202,7 @@ class SocketTransport {
   std::uint16_t listen_port_ = 0;
 
   std::map<NodeId, Peer> peers_;
-  std::unordered_map<int, NodeId> fd_to_peer_;
-  std::unordered_map<int, Pending> pending_;
+  std::unordered_map<int, Conn> conns_;  // every open socket but the listener
 };
 
 }  // namespace rex::net

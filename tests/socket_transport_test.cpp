@@ -2,7 +2,10 @@
 // TCP segmentation, the netstats ledger, and live loopback exchange between
 // two SocketTransports — including a drop + reconnect and the cluster
 // fingerprint refusal.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -46,8 +49,7 @@ TEST(FrameCodec, RoundTripsEveryFrameType) {
   std::optional<Frame> frame = parser.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, FrameType::kHello);
-  HelloFrame hello;
-  ASSERT_TRUE(parse_hello(frame->body, hello));
+  const HelloFrame hello = decode_hello(frame->body);
   EXPECT_EQ(hello.version, kWireVersion);
   EXPECT_EQ(hello.node, 42u);
   EXPECT_EQ(hello.fingerprint, 0xDEADBEEFCAFEF00Dull);
@@ -55,8 +57,7 @@ TEST(FrameCodec, RoundTripsEveryFrameType) {
   frame = parser.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, FrameType::kData);
-  DataFrame data;
-  ASSERT_TRUE(parse_data(frame->body, data));
+  const DataFrame data = decode_data(frame->body);
   EXPECT_EQ(data.src, 3u);
   EXPECT_EQ(data.dst, 9u);
   EXPECT_EQ(data.kind, MessageKind::kResync);
@@ -66,9 +67,7 @@ TEST(FrameCodec, RoundTripsEveryFrameType) {
   frame = parser.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, FrameType::kPing);
-  std::uint64_t token = 0;
-  ASSERT_TRUE(parse_ping_token(frame->body, token));
-  EXPECT_EQ(token, 777u);
+  EXPECT_EQ(decode_ping_token(frame->body), 777u);
 
   frame = parser.next();
   ASSERT_TRUE(frame.has_value());
@@ -77,8 +76,7 @@ TEST(FrameCodec, RoundTripsEveryFrameType) {
   frame = parser.next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, FrameType::kDone);
-  DoneFrame done;
-  ASSERT_TRUE(parse_done(frame->body, done));
+  const DoneFrame done = decode_done(frame->body);
   EXPECT_EQ(done.node, 42u);
   EXPECT_EQ(done.epochs, 11u);
 
@@ -179,8 +177,7 @@ TEST(FrameCodec, ReassemblesAcrossArbitraryChunking) {
       }
       while (std::optional<Frame> frame = parser.next()) {
         if (frame->type == FrameType::kData) {
-          DataFrame data;
-          ASSERT_TRUE(parse_data(frame->body, data));
+          const DataFrame data = decode_data(frame->body);
           const std::size_t size = payload_sizes[data_frames];
           ASSERT_EQ(data.payload.size(), size);
           for (std::size_t i = 0; i < size; ++i) {
@@ -190,9 +187,7 @@ TEST(FrameCodec, ReassemblesAcrossArbitraryChunking) {
           ++data_frames;
         } else {
           ASSERT_EQ(frame->type, FrameType::kPing);
-          std::uint64_t token = 0;
-          ASSERT_TRUE(parse_ping_token(frame->body, token));
-          ASSERT_EQ(token, payload_sizes[pings]);
+          ASSERT_EQ(decode_ping_token(frame->body), payload_sizes[pings]);
           ++pings;
         }
       }
@@ -222,12 +217,66 @@ TEST(FrameCodec, RejectsMalformedStreams) {
     parser.feed(bad);
     EXPECT_THROW((void)parser.next(), Error);
   }
-  // Truncated bodies fail the typed parsers, not the framer.
-  HelloFrame hello;
-  Bytes short_body = {0x52, 0x45};
-  EXPECT_FALSE(parse_hello(short_body, hello));
-  DataFrame data;
-  EXPECT_FALSE(parse_data(short_body, data));
+  // Truncated bodies fail the typed decoders, not the framer.
+  const Bytes short_body = {0x52, 0x45};
+  EXPECT_THROW((void)decode_hello(short_body), Error);
+  EXPECT_THROW((void)decode_data(short_body), Error);
+}
+
+TEST(FrameCodec, EveryCutOrFlippedBodyThrowsError) {
+  // Every proper prefix of every encoded body, a flipped HELLO magic or
+  // message kind byte, and one trailing byte past a fixed-size body: each
+  // decoder must refuse with rex::Error and nothing else (the transport
+  // drops the connection on it). The data frame carries no payload, so
+  // all of its prefixes cut into the fixed header.
+  const auto body_of = [](const std::function<void(Bytes&)>& encode) {
+    Bytes wire;
+    encode(wire);
+    return Bytes(wire.begin() + 5, wire.end());
+  };
+  Envelope env;
+  env.src = 3;
+  env.dst = 9;
+  struct Decoder {
+    const char* name;
+    Bytes body;
+    std::function<void(BytesView)> decode;
+  };
+  const std::vector<Decoder> decoders = {
+      {"hello", body_of([](Bytes& out) { append_hello(out, 42, 7); }),
+       [](BytesView b) { (void)decode_hello(b); }},
+      {"data", body_of([&env](Bytes& out) { append_data(out, env); }),
+       [](BytesView b) { (void)decode_data(b); }},
+      {"ping", body_of([](Bytes& out) { append_ping(out, 777); }),
+       [](BytesView b) { (void)decode_ping_token(b); }},
+      {"pong", body_of([](Bytes& out) { append_pong(out, 778); }),
+       [](BytesView b) { (void)decode_ping_token(b); }},
+      {"done", body_of([](Bytes& out) { append_done(out, 42, 11); }),
+       [](BytesView b) { (void)decode_done(b); }},
+  };
+  for (const Decoder& d : decoders) {
+    SCOPED_TRACE(d.name);
+    EXPECT_NO_THROW(d.decode(d.body));
+    for (std::size_t n = 0; n < d.body.size(); ++n) {
+      EXPECT_THROW(d.decode(BytesView(d.body).first(n)), Error) << n;
+    }
+    if (std::string(d.name) != "data") {
+      Bytes longer = d.body;
+      longer.push_back(0);
+      EXPECT_THROW(d.decode(longer), Error);
+    }
+  }
+  Bytes hello = decoders[0].body;
+  for (std::size_t i = 0; i < 4; ++i) {  // the magic's four bytes
+    Bytes flipped = hello;
+    flipped[i] ^= 0xFF;
+    EXPECT_THROW((void)decode_hello(flipped), Error) << i;
+  }
+  Bytes data = decoders[1].body;
+  for (unsigned kind = 3; kind < 256; ++kind) {  // past MessageKind::kResync
+    data[8] = static_cast<std::uint8_t>(kind);
+    EXPECT_THROW((void)decode_data(data), Error) << kind;
+  }
 }
 
 // ===== Netstats ledger =====
@@ -452,6 +501,67 @@ TEST(SocketTransport, DoneBarrierAndRttSamples) {
   EXPECT_GT(stats.rtt_last_s, 0.0);
   EXPECT_LT(stats.rtt_last_s, 1.0);  // loopback
   EXPECT_TRUE(pair.a->tx_idle());
+}
+
+/// A bare TCP client standing in for an impostor or a misbehaving peer:
+/// connects to `port`, writes `opener` and returns the socket.
+int dial_raw(std::uint16_t port, const Bytes& opener) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  EXPECT_EQ(::send(fd, opener.data(), opener.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(opener.size()));
+  return fd;
+}
+
+TEST(SocketTransport, AcceptedSocketOpensWithAValidHelloOrCloses) {
+  LoopbackPair pair;  // 0 dials 1; both listen
+  pair.pump_until([&] {
+    return pair.a->all_connected() && pair.b->all_connected();
+  });
+  const auto frame = [](auto append) {
+    Bytes wire;
+    append(wire);
+    return wire;
+  };
+  Bytes bad_magic = frame([](Bytes& w) { append_hello(w, 0, 5); });
+  bad_magic[5] ^= 0xFF;
+  // Each opener is refused: the listener closes the socket, and no
+  // ledger gains a connect or a row.
+  const std::vector<std::pair<std::uint16_t, Bytes>> refused = {
+      {pair.b->listen_port(), frame([](Bytes& w) { append_ping(w, 1); })},
+      {pair.b->listen_port(), bad_magic},
+      {pair.b->listen_port(),  // not a registered peer
+       frame([](Bytes& w) { append_hello(w, 7, 5); })},
+      {pair.a->listen_port(),  // a peer node 0 dials itself
+       frame([](Bytes& w) { append_hello(w, 1, 5); })},
+  };
+  for (const auto& [port, opener] : refused) {
+    const int fd = dial_raw(port, opener);
+    std::uint8_t byte = 0;
+    pair.pump_until(
+        [&] { return ::recv(fd, &byte, 1, MSG_DONTWAIT) == 0; });
+    ::close(fd);
+  }
+  for (const SocketTransport* side : {pair.a.get(), pair.b.get()}) {
+    ASSERT_EQ(side->netstats().peers().size(), 1u);
+    EXPECT_EQ(side->netstats().peers().begin()->second.connects, 1u);
+  }
+
+  // A valid HELLO as node 0 supersedes the live link: node 1 answers with
+  // its own HELLO, first, on the new socket.
+  const int fd =
+      dial_raw(pair.b->listen_port(),
+               frame([](Bytes& w) { append_hello(w, 0, 5); }));
+  pair.pump_until(
+      [&] { return pair.b->netstats().peers().at(0).reconnects >= 1; });
+  Bytes reply(23);
+  ASSERT_EQ(::recv(fd, reply.data(), reply.size(), MSG_WAITALL), 23);
+  EXPECT_EQ(reply, frame([](Bytes& w) { append_hello(w, 1, 5); }));
+  ::close(fd);
 }
 
 double poll_now() {
