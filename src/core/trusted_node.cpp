@@ -1,7 +1,6 @@
 #include "core/trusted_node.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "crypto/aead.hpp"
 #include "graph/graph.hpp"
@@ -34,13 +33,18 @@ bool admitted(bool passed, bool tolerate, std::uint64_t& rejected,
   return false;
 }
 
-/// The same rule for a check that refuses by throwing rex::Error (the
-/// payload decoder, require_cell_ids): `refusal` is what it threw, or
-/// null. A benign run aborts with the refusal's own message.
-bool admitted(const std::exception_ptr& refusal, bool tolerate,
-              std::uint64_t& rejected) {
-  if (refusal != nullptr && !tolerate) std::rethrow_exception(refusal);
-  return admitted(refusal == nullptr, tolerate, rejected, "");
+/// The same rule for checks that refuse by throwing rex::Error (the
+/// payload decoder, require_cell_ids): `check` runs them, and a benign run
+/// aborts with the refusal's own message.
+template <class Check>
+bool admitted(Check&& check, bool tolerate, std::uint64_t& rejected) {
+  try {
+    check();
+  } catch (const Error&) {
+    if (!tolerate) throw;
+    return admitted(false, tolerate, rejected, "");
+  }
+  return true;
 }
 
 /// AAD binding a directed (sender, receiver) pair (DESIGN.md §6).
@@ -190,7 +194,8 @@ void TrustedNode::begin_rejoin(const std::vector<NodeId>& online_peers) {
   // Empty on a full partition: nothing to resync against.
   resync_pending_.assign(online_peers.begin(), online_peers.end());
   for (NodeId peer : online_peers) {
-    (void)neighbor_index(peer);  // only neighbors can be rejoin targets
+    REX_REQUIRE(neighbor_index(peer) < neighbors_.size(),
+                "rejoin target is not a neighbor");
     if (runtime_.secure()) {
       // Re-attest first; the resync pull follows per pair as it completes.
       // The rejoiner initiates towards every online peer regardless of id
@@ -231,7 +236,12 @@ void TrustedNode::send_resync(NodeId peer, const ProtocolPayload& payload) {
 void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
   REX_REQUIRE(initialized_, "resync message before ecall_init");
   runtime_.record_ecall(blob.size());
-  (void)neighbor_index(src);  // resync only flows between neighbors
+  // Resync only flows between neighbors.
+  if (!admitted(neighbor_index(src) < neighbors_.size(),
+                config_.tolerate_byzantine, tampered_rejected_,
+                "protocol message from non-neighbor")) {
+    return;
+  }
   BytesView plaintext = blob;
   if (runtime_.secure()) {
     // Resync is authenticated-or-ignored: a message that does not verify
@@ -258,16 +268,27 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
     plaintext = opened;
   }
   PendingInput input = acquire_input();  // recycled decode target
-  ProtocolPayload::decode_into(plaintext, input.payload);
+  const PayloadKind& kind = input.payload.kind;
+  if (!admitted(
+          [&] {
+            ProtocolPayload::decode_into(plaintext, input.payload);
+            REX_REQUIRE(kind == PayloadKind::kResyncRequest ||
+                            kind == PayloadKind::kResyncModel,
+                        "non-resync payload on the resync path");
+          },
+          config_.tolerate_byzantine, tampered_rejected_)) {
+    recycle(std::move(input));
+    return;
+  }
 
-  if (input.payload.kind == PayloadKind::kResyncRequest) {
+  if (kind == PayloadKind::kResyncRequest) {
     // Serve the current model so the rejoiner re-enters the pipeline warm.
     ProtocolPayload reply = payload_header(PayloadKind::kResyncModel);
     reply.resync_gen = input.payload.resync_gen;  // correlate to the rejoin
     reply.model_blob = model_->serialize();
     resync_model_bytes_sent_ += reply.model_blob.size();
     send_resync(src, reply);
-  } else if (input.payload.kind == PayloadKind::kResyncModel) {
+  } else {
     // Pairwise average, the §III-C1 merge rule: deterministic because
     // replies arrive in the engine's deterministic delivery order. Late
     // replies (after a watchdog force-completion) still merge — fresher
@@ -287,8 +308,6 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
         resync_pending_.empty()) {
       rejoining_ = false;
     }
-  } else {
-    REX_REQUIRE(false, "non-resync payload on the resync path");
   }
   recycle(std::move(input));
 }
@@ -301,9 +320,9 @@ enclave::AttestationSession& TrustedNode::session(NodeId peer) {
 
 std::size_t TrustedNode::neighbor_index(NodeId src) const {
   const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), src);
-  REX_REQUIRE(it != neighbors_.end() && *it == src,
-              "protocol message from non-neighbor");
-  return static_cast<std::size_t>(it - neighbors_.begin());
+  return it != neighbors_.end() && *it == src
+             ? static_cast<std::size_t>(it - neighbors_.begin())
+             : neighbors_.size();
 }
 
 TrustedNode::PendingInput TrustedNode::acquire_input() {
@@ -337,7 +356,8 @@ void TrustedNode::heal_attestation(NodeId peer) {
   // minus the resync pull: this node's model never left, only the pair's
   // handshake is stuck. The old attested key (if any) stays available as
   // the stale-key fallback for traffic in flight across the heal.
-  (void)neighbor_index(peer);  // only neighbors hold sessions
+  REX_REQUIRE(neighbor_index(peer) < neighbors_.size(),
+              "only neighbors hold sessions");
   runtime_.record_ecall(0);
   restart_handshake(peer);
 }
@@ -421,9 +441,18 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   // Algorithm 2 lines 6-11: identify the source; decrypt if a session
   // exists, otherwise the message should have been an attestation one.
   const std::size_t slot = neighbor_index(src);
+  if (!admitted(slot < neighbors_.size(), config_.tolerate_byzantine,
+                tampered_rejected_, "protocol message from non-neighbor")) {
+    return;
+  }
   BytesView plaintext = blob;
   if (runtime_.secure()) {
-    auto& sess = session(src);
+    const auto found = sessions_.find(src);
+    if (!admitted(found != sessions_.end(), config_.tolerate_byzantine,
+                  tampered_rejected_, "no attestation session for this peer")) {
+      return;
+    }
+    auto& sess = found->second;
     runtime_.record_crypto(blob.size());
     // Explicit-sequence framing (DESIGN.md §6): derive the nonce from the
     // cleartext position, so positions lost to an outage leave gaps
@@ -436,8 +465,11 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
       return;
     }
     const auto stale = stale_keys_.find(src);
-    REX_REQUIRE(sess.attested() || stale != stale_keys_.end(),
-                "protocol message from unattested peer");  // fail closed
+    if (!admitted(sess.attested() || stale != stale_keys_.end(),
+                  config_.tolerate_byzantine, tampered_rejected_,
+                  "protocol message from unattested peer")) {
+      return;  // fail closed
+    }
     const std::array<std::uint8_t, 8> aad = frame_aad(src, id_);
     // Current session first, then the stale key a re-attestation left
     // behind — the message may have been sealed before the sender learned
@@ -498,14 +530,12 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   // frame that fails to open. Native runs decode straight off the (shared,
   // immutable) wire buffer — no plaintext staging copy per delivery.
   PendingInput input = acquire_input();  // recycled decode target
-  std::exception_ptr refusal;
-  try {
-    ProtocolPayload::decode_into(plaintext, input.payload);
-    require_cell_ids(input.payload.ratings, src);
-  } catch (const Error&) {
-    refusal = std::current_exception();
-  }
-  if (!admitted(refusal, config_.tolerate_byzantine, tampered_rejected_)) {
+  if (!admitted(
+          [&] {
+            ProtocolPayload::decode_into(plaintext, input.payload);
+            require_cell_ids(input.payload.ratings, src);
+          },
+          config_.tolerate_byzantine, tampered_rejected_)) {
     recycle(std::move(input));
     return;
   }

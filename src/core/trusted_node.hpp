@@ -123,10 +123,12 @@ class TrustedNode {
   // conditions below abort the run as engine bugs). The ScenarioHarness
   // reconciles these against its fault ledger at finalize.
 
-  /// Inputs rejected as tampered: a secure frame that fails AEAD
-  /// authentication (a ciphertext or tag bit flipped in flight) or is too
-  /// short to carry its sequence number, or a payload that does not decode
-  /// or carries a rating outside the catalogue.
+  /// Inputs rejected as tampered: a protocol or resync envelope from a
+  /// non-neighbor; a secure frame from a neighbor with no attested session,
+  /// one that fails AEAD authentication (a ciphertext or tag bit flipped
+  /// in flight) or is too short to carry its sequence number; a payload
+  /// that does not decode, is not of its path's kinds, or carries a rating
+  /// outside the catalogue.
   [[nodiscard]] std::uint64_t tampered_rejected() const {
     return tampered_rejected_;
   }
@@ -345,7 +347,8 @@ class TrustedNode {
     std::uint64_t arrival = 0;
   };
 
-  /// Index of `src` in the sorted neighbors_ list; throws on non-neighbor.
+  /// Index of `src` in the sorted neighbors_ list, or neighbors_.size()
+  /// when `src` is not a neighbor.
   [[nodiscard]] std::size_t neighbor_index(NodeId src) const;
   /// Takes `neighbors` (sorted) as the neighbor set and sizes the
   /// per-neighbor slot arrays to it.

@@ -848,6 +848,20 @@ std::vector<RejectionCase> rejection_cases() {
          return bad;
        },
        &Observed::tampered, "has no 32-bit cell id"},
+      {"envelope from a non-neighbor on a native pair", false,
+       [](Cluster&, std::vector<net::Envelope>& inbox) {
+         net::Envelope bad = inbox[0];
+         bad.src = 5;  // the cluster's nodes are 0..2, all neighbors
+         return bad;
+       },
+       &Observed::tampered, "protocol message from non-neighbor"},
+      {"envelope from a non-neighbor on a secure pair", true,
+       [](Cluster&, std::vector<net::Envelope>& inbox) {
+         net::Envelope bad = inbox[0];
+         bad.src = 5;
+         return bad;
+       },
+       &Observed::tampered, "protocol message from non-neighbor"},
   };
 }
 
@@ -907,6 +921,111 @@ TEST(RexProtocol, RejectionRuleThrowsOrCountsAndLeavesNoTrace) {
       EXPECT_GE(reference.epochs, expected.epochs + 2);
       if (tolerate) ++(reference.*rc.counter);
       EXPECT_TRUE(observe(node) == reference);
+    }
+  }
+}
+
+/// A rejection that no genuine share can follow on its pair, so it is
+/// checked for leaving no trace alone: a secure frame on a pair that never
+/// attested, and resync input. `setup` brings node 0 of a fresh cluster to
+/// the state under test and returns the bad envelope; tolerated, each one
+/// counts as tampered_rejected.
+struct UnpairedRejectionCase {
+  const char* name;
+  bool secure;
+  std::function<net::Envelope(Cluster&)> setup;
+  const char* message;  // the error it raises when not tolerated
+};
+
+/// Node 1's round-0 share to node 0 of a native cluster, as `kind`.
+net::Envelope native_share_as(Cluster& c, net::MessageKind kind) {
+  c.init_all();
+  std::vector<net::Envelope> inbox = c.transport.drain_inbox(0);
+  const auto from_1 =
+      std::find_if(inbox.begin(), inbox.end(),
+                   [](const net::Envelope& e) { return e.src == 1; });
+  EXPECT_NE(from_1, inbox.end());
+  net::Envelope share = *from_1;
+  share.kind = kind;
+  return share;
+}
+
+/// An envelope from neighbor 1 to node 0 with 64 opaque bytes: enough for
+/// a secure frame's sequence number and a tag.
+net::Envelope opaque_from_1() {
+  net::Envelope env;
+  env.src = 1;
+  env.dst = 0;
+  env.kind = net::MessageKind::kProtocol;
+  env.payload = SharedBytes::wrap(Bytes(64, 0xAB));
+  return env;
+}
+
+std::vector<UnpairedRejectionCase> unpaired_rejection_cases() {
+  return {
+      {"secure frame on a pair with no session", true,
+       [](Cluster& c) {
+         c.init_all();  // never attested: ecall_init opens no session
+         return opaque_from_1();
+       },
+       "no attestation session for this peer"},
+      {"secure frame on a pair whose handshake never finished", true,
+       [](Cluster& c) {
+         // Node 0 opens its sessions and initiates; nothing is delivered.
+         c.hosts[0]->start_attestation(c.neighbors_of(0));
+         c.init_all();
+         return opaque_from_1();
+       },
+       "protocol message from unattested peer"},
+      {"resync envelope from a non-neighbor", false,
+       [](Cluster& c) {
+         net::Envelope bad = native_share_as(c, net::MessageKind::kResync);
+         bad.src = 5;
+         return bad;
+       },
+       "protocol message from non-neighbor"},
+      {"kind byte 0xFF on the resync path", false,
+       [](Cluster& c) {
+         net::Envelope bad = native_share_as(c, net::MessageKind::kResync);
+         Bytes bytes = bad.payload.to_bytes();
+         bytes[0] = 0xFF;
+         bad.payload = SharedBytes::wrap(std::move(bytes));
+         return bad;
+       },
+       "unknown payload kind"},
+      {"raw-data share on the resync path", false,
+       [](Cluster& c) {
+         return native_share_as(c, net::MessageKind::kResync);
+       },
+       "non-resync payload on the resync path"},
+  };
+}
+
+TEST(RexProtocol, RejectionRuleCoversUnpairedAndResyncInputs) {
+  for (const UnpairedRejectionCase& rc : unpaired_rejection_cases()) {
+    for (const bool tolerate : {false, true}) {
+      SCOPED_TRACE(std::string(rc.name) +
+                   (tolerate ? ", tolerated" : ", fatal"));
+      RexConfig config = rc.secure ? raw_dpsgd_sgx() : raw_dpsgd_native();
+      config.tolerate_byzantine = tolerate;
+      Cluster cluster(3, config);
+      const net::Envelope bad = rc.setup(cluster);
+      const TrustedNode& node = cluster.hosts[0]->trusted();
+      Observed expected = observe(node);
+      if (tolerate) {
+        EXPECT_NO_THROW(cluster.hosts[0]->on_deliver(bad));
+        ++expected.tampered;
+      } else {
+        try {
+          cluster.hosts[0]->on_deliver(bad);
+          ADD_FAILURE() << "the rejection did not throw";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find(rc.message),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+      EXPECT_TRUE(observe(node) == expected);
     }
   }
 }
