@@ -227,7 +227,6 @@ sim::Scenario sgx_scenario(const Options& options, core::Algorithm algorithm,
     // (204 MiB vs 93.5 MiB, and 45.9-53.9 MiB for REX). See README.md
     // "Reproducing the paper".
     scenario.rex.epc.available_bytes = 16ull << 20;
-    scenario.rex.epc.total_bytes = 22ull << 20;
   }
   scenario.epochs = options.epochs_or(60);
   scenario.seed = options.seed;

@@ -87,8 +87,8 @@ BENCHMARK(BM_SealUnseal)->Arg(256)->Arg(65536);
 void BM_TransitionAccounting(benchmark::State& state) {
   enclave::Runtime runtime(enclave::SecurityMode::kSgxSimulated);
   for (auto _ : state) {
-    runtime.record_ecall(1024);
-    runtime.record_ocall(1024);
+    runtime.record_ecall();
+    runtime.record_ocall();
     benchmark::DoNotOptimize(runtime.stats());
   }
 }

@@ -60,10 +60,6 @@ class ClusterContext {
     return master_.derive(node).seed();
   }
 
-  [[nodiscard]] std::size_t platform_count() const {
-    return quoting_enclaves_.size();
-  }
-
  private:
   static constexpr std::uint64_t kPlatformSeedSalt = 0x5157E35EED5EEDULL;
 

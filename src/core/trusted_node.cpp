@@ -100,9 +100,8 @@ void TrustedNode::start_attestation(const std::vector<NodeId>& neighbors) {
 
 void TrustedNode::send_attestation(NodeId peer,
                                    const serialize::Json& message) {
-  Bytes blob = to_bytes(message.dump());
-  runtime_.record_ocall(blob.size());
-  send_(peer, net::MessageKind::kAttestation, std::move(blob));
+  runtime_.record_ocall();
+  send_(peer, net::MessageKind::kAttestation, to_bytes(message.dump()));
 }
 
 void TrustedNode::restart_handshake(NodeId peer) {
@@ -111,7 +110,7 @@ void TrustedNode::restart_handshake(NodeId peer) {
 }
 
 void TrustedNode::on_attestation_message(NodeId src, BytesView blob) {
-  runtime_.record_ecall(blob.size());
+  runtime_.record_ecall();
   const serialize::Json message =
       serialize::Json::parse(rex::to_string(blob));
   const std::string type = message.at("type").as_string();
@@ -187,7 +186,7 @@ SharedBytes TrustedNode::seal_framed(enclave::AttestationSession& session,
 
 void TrustedNode::begin_rejoin(const std::vector<NodeId>& online_peers) {
   REX_REQUIRE(initialized_, "rejoin before ecall_init");
-  runtime_.record_ecall(0);
+  runtime_.record_ecall();
   resync_awaited_ = 0;
   ++rejoin_gen_;
   rejoining_ = !online_peers.empty();
@@ -235,7 +234,7 @@ void TrustedNode::send_resync(NodeId peer, const ProtocolPayload& payload) {
 
 void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
   REX_REQUIRE(initialized_, "resync message before ecall_init");
-  runtime_.record_ecall(blob.size());
+  runtime_.record_ecall();
   // Resync only flows between neighbors.
   if (!admitted(neighbor_index(src) < neighbors_.size(),
                 config_.tolerate_byzantine, tampered_rejected_,
@@ -358,7 +357,7 @@ void TrustedNode::heal_attestation(NodeId peer) {
   // the stale-key fallback for traffic in flight across the heal.
   REX_REQUIRE(neighbor_index(peer) < neighbors_.size(),
               "only neighbors hold sessions");
-  runtime_.record_ecall(0);
+  runtime_.record_ecall();
   restart_handshake(peer);
 }
 
@@ -377,10 +376,7 @@ bool TrustedNode::fully_attested() const {
 
 void TrustedNode::ecall_init(TrustedInit init) {
   REX_REQUIRE(!initialized_, "ecall_init called twice");
-  const std::size_t init_bytes =
-      (init.local_train.size() + init.local_test.size()) *
-      sizeof(data::Rating);
-  runtime_.record_ecall(init_bytes);
+  runtime_.record_ecall();
 
   // Algorithm 2 lines 2-3: copy the local partition into protected memory
   // and initialize data structures. The model comes first: its catalogue
@@ -436,7 +432,7 @@ TrustedNode::QueryAnswer TrustedNode::query_topk(data::UserId user,
 
 void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   REX_REQUIRE(initialized_, "protocol message before ecall_init");
-  runtime_.record_ecall(blob.size());
+  runtime_.record_ecall();
 
   // Algorithm 2 lines 6-11: identify the source; decrypt if a session
   // exists, otherwise the message should have been an attestation one.
@@ -581,7 +577,7 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
 
 void TrustedNode::ecall_train_due() {
   REX_REQUIRE(initialized_, "train event before ecall_init");
-  runtime_.record_ecall(0);
+  runtime_.record_ecall();
   if (rejoining_) return;  // training suppressed until the rejoin completes
   if (config_.algorithm == Algorithm::kRmw) {
     // RMW trains on its period with whatever arrived (§III-C1).
@@ -870,7 +866,7 @@ std::size_t TrustedNode::send_payload(std::span<const NodeId> dsts,
                              kind == net::MessageKind::kResync, plaintext)
                : plain_wire;
     runtime_.record_crypto(wire.size());  // no-ops in native runs
-    runtime_.record_ocall(wire.size());
+    runtime_.record_ocall();
     send_(dst, kind, std::move(wire));
     ++sent;
   }

@@ -13,8 +13,6 @@
 namespace rex::enclave {
 
 struct EpcConfig {
-  /// Total reserved EPC (informational).
-  std::size_t total_bytes = 128ull << 20;
   /// Usable by enclaves after SGX metadata (§IV-D cites 93.5 MiB).
   std::size_t available_bytes = static_cast<std::size_t>(93.5 * 1024 * 1024);
   /// Paging slowdown at 2x overcommit; the factor interpolates linearly in

@@ -80,8 +80,6 @@ class DcapVerifier {
   /// True iff the quote was signed by a registered platform's key.
   [[nodiscard]] bool verify(const Quote& quote) const;
 
-  [[nodiscard]] std::size_t platform_count() const { return keys_.size(); }
-
  private:
   std::map<PlatformId, crypto::ChaChaKey> keys_;
 };

@@ -10,8 +10,6 @@ double Runtime::memory_slowdown() const {
 void Runtime::reset_epoch_counters() {
   stats_.ecalls = 0;
   stats_.ocalls = 0;
-  stats_.ecall_bytes = 0;
-  stats_.ocall_bytes = 0;
   stats_.sealed_bytes = 0;
 }
 

@@ -23,8 +23,6 @@ enum class SecurityMode {
 struct RuntimeStats {
   std::uint64_t ecalls = 0;
   std::uint64_t ocalls = 0;
-  std::uint64_t ecall_bytes = 0;      // data copied into the enclave
-  std::uint64_t ocall_bytes = 0;      // data copied out of the enclave
   std::uint64_t sealed_bytes = 0;     // AEAD-processed payload bytes
   std::size_t resident_bytes = 0;     // current enclave heap residency
   std::size_t peak_resident_bytes = 0;
@@ -44,15 +42,11 @@ class Runtime {
   /// a native build has plain function calls here). Inline: the learning
   /// cell crosses the boundary millions of times per run and these are
   /// two-instruction counter bumps.
-  void record_ecall(std::size_t argument_bytes) {
-    if (!secure()) return;
-    ++stats_.ecalls;
-    stats_.ecall_bytes += argument_bytes;
+  void record_ecall() {
+    if (secure()) ++stats_.ecalls;
   }
-  void record_ocall(std::size_t argument_bytes) {
-    if (!secure()) return;
-    ++stats_.ocalls;
-    stats_.ocall_bytes += argument_bytes;
+  void record_ocall() {
+    if (secure()) ++stats_.ocalls;
   }
 
   /// Payload bytes passed through the channel AEAD.

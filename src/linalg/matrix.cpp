@@ -1,5 +1,7 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
+
 #include "linalg/vector_ops.hpp"
 #include "support/error.hpp"
 
@@ -29,7 +31,7 @@ void matvec_transposed(const Matrix& m, std::span<const float> x,
                        std::span<float> y) {
   REX_REQUIRE(x.size() == m.rows() && y.size() == m.cols(),
               "matvec_transposed: shape mismatch");
-  fill(y, 0.0f);
+  std::ranges::fill(y, 0.0f);
   for (std::size_t r = 0; r < m.rows(); ++r) {
     axpy(x[r], m.row(r), y);
   }

@@ -36,10 +36,6 @@ void weighted_sum_scalar(float* dst, float w_dst, const float* src,
   }
 }
 
-void fill_scalar(float* x, float value, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = value;
-}
-
 void mf_sgd_rows_scalar(float* x, float* y, std::size_t n, float error,
                         float lr, float lambda) {
   for (std::size_t l = 0; l < n; ++l) {
@@ -96,14 +92,6 @@ __attribute__((target("avx2"))) void weighted_sum_avx2(float* dst,
     _mm256_storeu_ps(dst + i, _mm256_add_ps(vd, vs));
   }
   weighted_sum_scalar(dst + i, w_dst, src + i, w_src, n - i);
-}
-
-__attribute__((target("avx2"))) void fill_avx2(float* x, float value,
-                                               std::size_t n) {
-  const __m256 vv = _mm256_set1_ps(value);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, vv);
-  fill_scalar(x + i, value, n - i);
 }
 
 __attribute__((target("avx2"))) void mf_sgd_rows_avx2(float* x, float* y,
@@ -170,13 +158,6 @@ void weighted_sum_neon(float* dst, float w_dst, const float* src, float w_src,
     vst1q_f32(dst + i, vaddq_f32(vd, vs));
   }
   weighted_sum_scalar(dst + i, w_dst, src + i, w_src, n - i);
-}
-
-void fill_neon(float* x, float value, std::size_t n) {
-  const float32x4_t vv = vdupq_n_f32(value);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) vst1q_f32(x + i, vv);
-  fill_scalar(x + i, value, n - i);
 }
 
 void mf_sgd_rows_neon(float* x, float* y, std::size_t n, float error,
@@ -280,19 +261,6 @@ void weighted_sum(float* dst, float w_dst, const float* src, float w_src,
   }
 }
 
-void fill(float* x, float value, std::size_t n) {
-  switch (g_backend) {
-#if REX_SIMD_X86
-    case Backend::kAvx2:
-    case Backend::kAvx512: fill_avx2(x, value, n); return;
-#endif
-#if REX_SIMD_NEON
-    case Backend::kNeon: fill_neon(x, value, n); return;
-#endif
-    default: fill_scalar(x, value, n); return;
-  }
-}
-
 void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
                  float lambda) {
   switch (g_backend) {
@@ -305,15 +273,6 @@ void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
 #endif
     default: mf_sgd_rows_scalar(x, y, n, error, lr, lambda); return;
   }
-}
-
-// The reduction stays on one exact left-to-right loop on every backend: a
-// multi-lane vector sum reassociates, which would move golden dumps.
-
-float dot(const float* a, const float* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 }  // namespace rex::linalg::simd

@@ -2,15 +2,15 @@
 //
 // The kernels come in two contract classes:
 //
-//  * Elementwise (axpy / scale / weighted_sum / fill / mf_sgd_rows): every
+//  * Elementwise (axpy / scale / weighted_sum / mf_sgd_rows): every
 //    backend performs the *same* IEEE-754 operation per lane in the same
 //    order — one multiply, one add per term, no fused multiply-add — so
 //    AVX2/NEON results are bit-identical to the scalar loops the portable
 //    build auto-vectorizes. Switching backends never moves a golden dump.
 //
-//  * The reduction (dot): one exact left-to-right scalar loop on every
-//    backend. A multi-lane vector sum reassociates, which is NOT
-//    bit-identical, so there is no vector reduction path.
+//  * There is no reduction kernel: a multi-lane vector sum reassociates,
+//    which is NOT bit-identical, so linalg::dot keeps one exact
+//    left-to-right scalar loop inline.
 //
 // Dispatch is resolved once (first use) from the CPU and environment:
 // REX_SCALAR_KERNELS forces the scalar backend end to end — the escape
@@ -50,9 +50,6 @@ void scale(float* x, float alpha, std::size_t n);
 void weighted_sum(float* dst, float w_dst, const float* src, float w_src,
                   std::size_t n);
 
-/// x[i] = value
-void fill(float* x, float value, std::size_t n);
-
 /// Fused MF SGD row update (the coupled user/item gradient step):
 ///   x_old = x[l]
 ///   x[l] += lr * (error * y[l] - lambda * x[l])
@@ -61,10 +58,5 @@ void fill(float* x, float value, std::size_t n);
 /// backends reproduce the scalar rounding sequence exactly.
 void mf_sgd_rows(float* x, float* y, std::size_t n, float error, float lr,
                  float lambda);
-
-// ===== Reduction (exact scalar on every backend) =====
-
-/// Σ a[i] * b[i] — float accumulator, left-to-right (exact contract).
-[[nodiscard]] float dot(const float* a, const float* b, std::size_t n);
 
 }  // namespace rex::linalg::simd

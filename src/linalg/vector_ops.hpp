@@ -4,9 +4,9 @@
 // inputs (under one or two vector widths — MF embedding rows are 2..20
 // floats) stay on the inline scalar loops; larger inputs route to the
 // runtime-dispatched SIMD layer (simd_kernels.hpp, DESIGN.md §7). The two
-// paths are bit-identical for the elementwise kernels, and the reduction
-// runs the same exact scalar algorithm on both sides, so the split never
-// moves a result. float (not double) matches the paper's model-size
+// paths are bit-identical for the elementwise kernels, so the split never
+// moves a result; the reduction (dot) is one exact left-to-right loop at
+// every size. float (not double) matches the paper's model-size
 // accounting.
 #pragma once
 
@@ -21,16 +21,13 @@ namespace rex::linalg {
 /// call overhead exceeds any vector win (one AVX2 lane is 8 floats).
 inline constexpr std::size_t kSimdThreshold = 16;
 
-/// Σ a[i] * b[i]
+/// Σ a[i] * b[i], float accumulator, left to right (exact contract).
 [[nodiscard]] inline float dot(std::span<const float> a,
                                std::span<const float> b) {
   REX_REQUIRE(a.size() == b.size(), "dot: size mismatch");
-  if (a.size() < kSimdThreshold) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-    return acc;
-  }
-  return simd::dot(a.data(), b.data(), a.size());
+  float acc = 0.0f;
+  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
+  return acc;
 }
 
 /// y += alpha * x
@@ -63,14 +60,6 @@ inline void weighted_sum_inplace(std::span<float> dst, float w_dst,
     return;
   }
   simd::weighted_sum(dst.data(), w_dst, src.data(), w_src, dst.size());
-}
-
-inline void fill(std::span<float> x, float value) {
-  if (x.size() < kSimdThreshold) {
-    for (float& v : x) v = value;
-    return;
-  }
-  simd::fill(x.data(), value, x.size());
 }
 
 }  // namespace rex::linalg

@@ -177,8 +177,8 @@ void DnnModel::backward(data::UserId user, data::ItemId item,
 
 void DnnModel::zero_layer_grads() {
   for (DenseLayer& layer : layers_) {
-    linalg::fill(layer.grad_weights.flat(), 0.0f);
-    linalg::fill(std::span<float>(layer.grad_bias), 0.0f);
+    std::ranges::fill(layer.grad_weights.flat(), 0.0f);
+    std::ranges::fill(layer.grad_bias, 0.0f);
   }
 }
 
@@ -312,7 +312,7 @@ void DnnModel::merge(std::span<const MergeSource> sources,
         if ((peers[s]->*member_mask)[row]) total += sources[s].weight;
       }
       if (total <= 0.0) continue;
-      linalg::fill(accum, 0.0f);
+      std::ranges::fill(accum, 0.0f);
       if (seen[row]) {
         linalg::axpy(static_cast<float>(self_weight / total), mine.row(row),
                      accum);

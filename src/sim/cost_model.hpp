@@ -84,10 +84,6 @@ struct StageTimes {
     return {SimTime{t.merge.seconds / count}, SimTime{t.train.seconds / count},
             SimTime{t.share.seconds / count}, SimTime{t.test.seconds / count}};
   }
-  friend StageTimes max(const StageTimes& a, const StageTimes& b) {
-    return {std::max(a.merge, b.merge), std::max(a.train, b.train),
-            std::max(a.share, b.share), std::max(a.test, b.test)};
-  }
 };
 
 class CostModel {
@@ -112,11 +108,6 @@ class CostModel {
   /// Sender-side wire occupancy of `bytes` over `messages` messages.
   [[nodiscard]] SimTime network_time(std::uint64_t bytes,
                                      std::uint64_t messages) const;
-
-  /// One propagation delay (added once per synchronized round).
-  [[nodiscard]] SimTime round_latency() const {
-    return SimTime{params_.link_latency_s};
-  }
 
   /// Service time of one top-k query (DESIGN.md §9): score `query_flops`
   /// (catalog x flops_per_prediction) at the node's effective speed plus

@@ -322,7 +322,6 @@ void SimEngine::fold_epoch(EpochBucket& bucket, core::NodeId id,
       first ? counters.rmse : std::min(bucket.rmse_min, counters.rmse);
   bucket.rmse_max = std::max(bucket.rmse_max, counters.rmse);
   bucket.stage_sum += stages;
-  bucket.stage_max = max(bucket.stage_max, stages);
   bucket.bytes_sum += static_cast<double>(bytes);
   const double memory =
       static_cast<double>(hosts_[id].runtime().stats().resident_bytes);
@@ -347,7 +346,6 @@ RoundRecord SimEngine::bucket_record(std::size_t epoch,
   record.max_rmse = bucket.rmse_max;
   record.mean_bytes_in_out = bucket.bytes_sum / dn;
   record.mean_stages = bucket.stage_sum / dn;
-  record.max_stages = bucket.stage_max;
   record.mean_memory_bytes = bucket.mem_sum / dn;
   record.max_memory_bytes = bucket.mem_max;
   record.mean_store_size = bucket.store_sum / dn;

@@ -286,8 +286,6 @@ class SimEngine {
   [[nodiscard]] const ResyncTotals& resync_totals() const {
     return resync_totals_;
   }
-  /// Nodes currently online (partition-aware metrics).
-  [[nodiscard]] std::size_t online_count() const { return online_count_; }
   [[nodiscard]] SchedulerStats scheduler_stats() const;
   [[nodiscard]] const LinkModel& link_model() const { return links_; }
   /// One entry per LinkModel edge for heterogeneous models (empty
@@ -378,7 +376,6 @@ class SimEngine {
     double rmse_min = 0.0;
     double rmse_max = 0.0;
     StageTimes stage_sum;
-    StageTimes stage_max;
     double bytes_sum = 0.0;
     double mem_sum = 0.0;
     double mem_max = 0.0;

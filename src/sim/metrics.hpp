@@ -34,7 +34,6 @@ struct RoundRecord {
   double mean_bytes_in_out = 0.0;
 
   StageTimes mean_stages;    // Fig 5a/6a/7a breakdowns
-  StageTimes max_stages;
 
   double mean_memory_bytes = 0.0;  // Fig 6b/7b RAM panel
   double max_memory_bytes = 0.0;

@@ -57,7 +57,6 @@ class CalendarQueue {
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   void push(T item) {
@@ -278,7 +277,6 @@ class ShardedCalendarQueue {
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// Merged shard counters plus this wrapper's global high-water mark.
   [[nodiscard]] Stats stats() const {

@@ -62,9 +62,6 @@ class SlotPool {
   }
 
   [[nodiscard]] std::size_t slots_allocated() const { return slots_.size(); }
-  [[nodiscard]] std::size_t in_use() const {
-    return slots_.size() - free_.size();
-  }
 
  private:
   std::vector<T> slots_;
@@ -259,12 +256,6 @@ class SharedBytes {
   /// Mutable copy of the contents (tamper tests; never the hot path).
   [[nodiscard]] Bytes to_bytes() const {
     return block_ != nullptr ? block_->bytes : Bytes{};
-  }
-  /// Holders of this exact storage (diagnostics/tests).
-  [[nodiscard]] long use_count() const {
-    return block_ != nullptr
-               ? static_cast<long>(block_->refs.load(std::memory_order_relaxed))
-               : 0;
   }
 
  private:

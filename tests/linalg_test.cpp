@@ -44,12 +44,6 @@ TEST(VectorOps, WeightedSumInplace) {
   EXPECT_EQ(dst, (std::vector<float>{3.5f, 7.0f}));
 }
 
-TEST(VectorOps, Fill) {
-  std::vector<float> x(4, 1.0f);
-  fill(x, -2.5f);
-  for (float v : x) EXPECT_EQ(v, -2.5f);
-}
-
 TEST(Matrix, ConstructionAndIndexing) {
   Matrix m(3, 2, 1.5f);
   EXPECT_EQ(m.rows(), 3u);
