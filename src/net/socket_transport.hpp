@@ -23,13 +23,14 @@
 // Connection policy: for every edge, the lower node id initiates and the
 // higher id accepts — no simultaneous-connect races. Both sides send a
 // HELLO (node id + cluster-config fingerprint) as the first frame; a peer
-// counts as connected only once its HELLO validated. Initiators reconnect
+// counts as connected only once its HELLO validated. Dialed and accepted
+// sockets are read and identified by the same code. Initiators reconnect
 // with exponential backoff after drops; queued tx frames survive a drop and
-// are re-flushed on the next connection, rewound to the last whole-frame
-// boundary so the new byte stream never starts mid-frame. Frames that fully
-// entered the kernel before a drop may still be lost with the connection —
-// exactly-once delivery across restarts is the job of the protocol-level
-// rejoin/resync (DESIGN.md §6), not the framing layer.
+// are re-flushed on the next connection behind its HELLO, rewound to the
+// last whole-frame boundary so the new byte stream never starts mid-frame.
+// Frames that fully entered the kernel before a drop may still be lost with
+// the connection — exactly-once delivery across restarts is the job of the
+// protocol-level rejoin/resync (DESIGN.md §6), not the framing layer.
 //
 // Single-threaded by design: everything happens inside poll() /
 // pump_outbox() on the caller's thread, matching the one-process-per-node
