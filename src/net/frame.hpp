@@ -46,13 +46,13 @@ inline constexpr std::uint16_t kWireVersion = 1;
 inline constexpr std::size_t kMaxFrameBody = 64u << 20;
 
 /// One decoded frame: the type plus a view into the parser's buffer (valid
-/// until the next FrameParser::feed call).
+/// until the next FrameParser::next / feed call).
 struct Frame {
   FrameType type = FrameType::kData;
   BytesView body;
 };
 
-/// Decoded kData body. `payload` views the frame body; the transport
+/// Decoded kData body. `payload` views the parser buffer; the transport
 /// copies it into a pooled SharedBytes before handing it to the host.
 struct DataFrame {
   NodeId src = 0;
@@ -61,7 +61,7 @@ struct DataFrame {
   BytesView payload;
 };
 
-/// Decoded kHello body (the magic is checked, not kept).
+/// Decoded kHello body.
 struct HelloFrame {
   std::uint16_t version = 0;
   NodeId node = 0;
@@ -74,7 +74,7 @@ struct DoneFrame {
   std::uint64_t epochs = 0;
 };
 
-// ===== Encoders (append one whole frame to `out`, never clear it) =====
+// ===== Encoders (append to `out`, never clear it) =====
 
 void append_hello(Bytes& out, NodeId node, std::uint64_t fingerprint);
 void append_data(Bytes& out, const Envelope& envelope);

@@ -179,7 +179,8 @@ class SocketTransport {
   /// Closes `fd`, through drop_connection when a peer owns it.
   void close_conn(int fd, double now_s);
   void accept_ready();
-  /// Counts the frame appended to `peer.txbuf` from `frame_start` on.
+  /// Records the frame appended to `peer.txbuf` from `frame_start` on: its
+  /// size for the rewind mark, and one `frames_tx`.
   void queue_frame(NodeId id, Peer& peer, std::size_t frame_start);
   void flush_peer(NodeId id, double now_s);
   void update_interest(NodeId id);

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -266,7 +267,7 @@ TEST(FrameCodec, EveryCutOrFlippedBodyThrowsError) {
       EXPECT_THROW(d.decode(longer), Error);
     }
   }
-  Bytes hello = decoders[0].body;
+  const Bytes& hello = decoders[0].body;
   for (std::size_t i = 0; i < 4; ++i) {  // the magic's four bytes
     Bytes flipped = hello;
     flipped[i] ^= 0xFF;
@@ -541,9 +542,11 @@ TEST(SocketTransport, AcceptedSocketOpensWithAValidHelloOrCloses) {
   };
   for (const auto& [port, opener] : refused) {
     const int fd = dial_raw(port, opener);
-    std::uint8_t byte = 0;
-    pair.pump_until(
-        [&] { return ::recv(fd, &byte, 1, MSG_DONTWAIT) == 0; });
+    pair.pump_until([&] {
+      std::uint8_t byte = 0;
+      const ssize_t n = ::recv(fd, &byte, 1, MSG_DONTWAIT);
+      return n == 0 || (n < 0 && errno == ECONNRESET);  // closed
+    });
     ::close(fd);
   }
   for (const SocketTransport* side : {pair.a.get(), pair.b.get()}) {
