@@ -1,7 +1,8 @@
-// Socket transport layer tests (DESIGN.md §11): frame codec under arbitrary
-// TCP segmentation, the netstats ledger, and live loopback exchange between
-// two SocketTransports — including a drop + reconnect and the cluster
-// fingerprint refusal.
+// Socket transport layer tests (DESIGN.md §11): the frame codec's wire bytes,
+// its refusals and its behaviour under arbitrary TCP segmentation, the
+// netstats ledger, and live loopback exchange between two SocketTransports —
+// including a drop + reconnect, the cluster fingerprint refusal and the
+// accepted-socket HELLO rules.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
