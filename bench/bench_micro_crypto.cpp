@@ -126,6 +126,18 @@ void BM_AeadOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadOpen)->Arg(3608)->Arg(65536);
 
+void BM_X25519PublicKey(benchmark::State& state) {
+  crypto::X25519Key private_key{};
+  private_key.fill(0x42);
+  // The first call builds the comb table; time the calls after it.
+  benchmark::DoNotOptimize(crypto::x25519_public_key(private_key));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(private_key);
+    benchmark::DoNotOptimize(crypto::x25519_public_key(private_key));
+  }
+}
+BENCHMARK(BM_X25519PublicKey);
+
 void BM_X25519SharedSecret(benchmark::State& state) {
   crypto::X25519Key alice{}, bob_public{};
   alice.fill(0x42);

@@ -274,6 +274,10 @@ void TrustedNode::ecall_resync(NodeId src, BytesView blob) {
             REX_REQUIRE(kind == PayloadKind::kResyncRequest ||
                             kind == PayloadKind::kResyncModel,
                         "non-resync payload on the resync path");
+            if (kind == PayloadKind::kResyncModel &&
+                !input.payload.model_blob.empty()) {
+              model_->require_wire_shape(input.payload.model_blob);
+            }
           },
           config_.tolerate_byzantine, tampered_rejected_)) {
     recycle(std::move(input));
@@ -519,17 +523,23 @@ void TrustedNode::ecall_input(NodeId src, BytesView blob) {
   // the cost model. (The caller may catch the Error and keep the node
   // running, as the tamper tests do.)
   //
-  // First, the payload must decode, and every raw rating must have a cell
-  // id, the duplicate filter's key (DESIGN.md §10 "Duplicate filter"): one
-  // outside the catalogue would otherwise sit in the store until SGD
-  // sampled it. Bytes that fail either are counted as tampering, like a
-  // frame that fails to open. Native runs decode straight off the (shared,
-  // immutable) wire buffer — no plaintext staging copy per delivery.
+  // First, the payload must decode, every raw rating must have a cell id,
+  // the duplicate filter's key (DESIGN.md §10 "Duplicate filter"), and a
+  // model blob must have the structure the merge's deserialize() accepts:
+  // a rating outside the catalogue would otherwise sit in the store until
+  // SGD sampled it, and a malformed blob would abort the merge. Bytes that
+  // fail any of these are counted as tampering, like a frame that fails to
+  // open. Native runs decode straight off the (shared, immutable) wire
+  // buffer — no plaintext staging copy per delivery.
   PendingInput input = acquire_input();  // recycled decode target
   if (!admitted(
           [&] {
             ProtocolPayload::decode_into(plaintext, input.payload);
             require_cell_ids(input.payload.ratings, src);
+            if (input.payload.kind == PayloadKind::kModel ||
+                input.payload.kind == PayloadKind::kModelQuantized) {
+              model_->require_wire_shape(input.payload.model_blob);
+            }
           },
           config_.tolerate_byzantine, tampered_rejected_)) {
     recycle(std::move(input));

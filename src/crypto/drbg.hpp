@@ -25,7 +25,8 @@ class Drbg {
   /// Fresh symmetric key.
   [[nodiscard]] ChaChaKey next_key();
 
-  /// Fresh X25519 private scalar (clamping happens inside x25519()).
+  /// Fresh X25519 private scalar (clamping happens inside x25519() and
+  /// x25519_public_key()).
   [[nodiscard]] X25519Key next_x25519_private();
 
  private:

@@ -361,8 +361,7 @@ Bytes DnnModel::serialize() const {
   return w.take();
 }
 
-void DnnModel::deserialize(BytesView payload) {
-  serialize::BinaryReader r(payload);
+void DnnModel::read_header(serialize::BinaryReader& r) const {
   REX_REQUIRE(r.str() == kind(), "payload is not a DNN model");
   REX_REQUIRE(r.u32() == config_.n_users && r.u32() == config_.n_items &&
                   r.u32() == config_.embedding_dim,
@@ -371,6 +370,21 @@ void DnnModel::deserialize(BytesView payload) {
   for (std::size_t h : config_.hidden) {
     REX_REQUIRE(r.u32() == h, "DNN hidden width mismatch");
   }
+}
+
+void DnnModel::require_wire_shape(BytesView payload) const {
+  serialize::BinaryReader r(payload);
+  read_header(r);
+  // Every tensor as raw f32, then the two seen masks.
+  REX_REQUIRE(r.remaining() == parameter_count() * sizeof(float) +
+                                   (config_.n_users + 7) / 8 +
+                                   (config_.n_items + 7) / 8,
+              "DNN model blob length does not match its shape");
+}
+
+void DnnModel::deserialize(BytesView payload) {
+  serialize::BinaryReader r(payload);
+  read_header(r);
   r.f32_array(user_embeddings_.flat());
   r.f32_array(item_embeddings_.flat());
   for (DenseLayer& layer : layers_) {

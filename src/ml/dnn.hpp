@@ -13,6 +13,10 @@
 #include "ml/adam.hpp"
 #include "ml/model.hpp"
 
+namespace rex::serialize {
+class BinaryReader;
+}
+
 namespace rex::ml {
 
 struct DnnConfig {
@@ -48,6 +52,7 @@ class DnnModel final : public RecModel {
              double self_weight) override;
   [[nodiscard]] Bytes serialize() const override;
   void deserialize(BytesView payload) override;
+  void require_wire_shape(BytesView payload) const override;
   [[nodiscard]] std::size_t train_samples_per_epoch() const override {
     return config_.batch_size * config_.batches_per_epoch;
   }
@@ -86,6 +91,9 @@ class DnnModel final : public RecModel {
   void train_batch(std::span<const data::Rating> batch, Rng& rng);
 
  private:
+  /// Reads the codec magic and the shape header, refusing a mismatch.
+  void read_header(serialize::BinaryReader& r) const;
+
   struct DenseLayer {
     linalg::Matrix weights;        // out x in
     std::vector<float> bias;       // out

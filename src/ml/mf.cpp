@@ -388,10 +388,17 @@ Bytes MfModel::encode(const char* magic, TensorWriter write) const {
   return w.take();
 }
 
-void MfModel::decode(serialize::BinaryReader& r, TensorReader read) {
+bool MfModel::read_header(serialize::BinaryReader& r) const {
+  const std::string magic = r.str();
+  const bool quantized = magic == "mfq";
+  REX_REQUIRE(quantized || magic == kind(), "payload is not an MF model");
   REX_REQUIRE(r.u32() == config_.n_users && r.u32() == config_.n_items &&
                   r.u32() == config_.embedding_dim,
               "MF model shape mismatch");
+  return quantized;
+}
+
+void MfModel::decode(serialize::BinaryReader& r, TensorReader read) {
   UserImage users;
   users.rows.resize(config_.n_users * config_.embedding_dim);
   users.bias.resize(config_.n_users);
@@ -416,13 +423,20 @@ Bytes MfModel::serialize_quantized() const {
 
 void MfModel::deserialize(BytesView payload) {
   serialize::BinaryReader r(payload);
-  const std::string magic = r.str();
-  if (magic == "mfq") {
-    decode(r, read_q8_tensor);
-  } else {
-    REX_REQUIRE(magic == kind(), "payload is not an MF model");
-    decode(r, read_f32_tensor);
-  }
+  decode(r, read_header(r) ? read_q8_tensor : read_f32_tensor);
+}
+
+void MfModel::require_wire_shape(BytesView payload) const {
+  serialize::BinaryReader r(payload);
+  const bool quantized = read_header(r);
+  // Four tensors (user rows, item rows, user bias, item bias) as raw f32,
+  // or as q8's (min, scale) pair plus one byte per value; then the masks.
+  const std::size_t values = parameter_count();
+  const std::size_t tensors = quantized ? 4 * 2 * sizeof(float) + values
+                                        : values * sizeof(float);
+  REX_REQUIRE(r.remaining() == tensors + (config_.n_users + 7) / 8 +
+                                   (config_.n_items + 7) / 8,
+              "MF model blob length does not match its shape");
 }
 
 std::size_t MfModel::parameter_count() const {

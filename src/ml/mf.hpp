@@ -63,6 +63,7 @@ class MfModel final : public RecModel {
   [[nodiscard]] Bytes serialize_quantized() const override;
   /// Accepts the exact ("mf") and quantized ("mfq") encodings.
   void deserialize(BytesView payload) override;
+  void require_wire_shape(BytesView payload) const override;
   [[nodiscard]] std::size_t train_samples_per_epoch() const override {
     return config_.sgd_steps_per_epoch;
   }
@@ -103,6 +104,9 @@ class MfModel final : public RecModel {
 
   /// The "mf" and "mfq" encodings: the same layout, one tensor codec.
   [[nodiscard]] Bytes encode(const char* magic, TensorWriter write) const;
+  /// Reads the codec magic and the shape header, refusing a mismatch;
+  /// true for the q8 codec ("mfq").
+  [[nodiscard]] bool read_header(serialize::BinaryReader& r) const;
   void decode(serialize::BinaryReader& r, TensorReader read);
 
   /// True when every user row lives at slot == user id (no index).

@@ -68,6 +68,14 @@ class RecModel {
   /// same configuration; throws rex::Error on mismatch.
   virtual void deserialize(BytesView payload) = 0;
 
+  /// Throws rex::Error unless deserialize() would accept `payload`, judged
+  /// by structure alone: a codec magic this family reads, this model's
+  /// shape in the header, and the byte length that shape implies for the
+  /// codec. No parameter is decoded, so the enclave can refuse a peer's
+  /// malformed blob on arrival and still deserialize each blob once, in
+  /// the merge (DESIGN.md §8 "Byzantine accounting").
+  virtual void require_wire_shape(BytesView payload) const = 0;
+
   /// Sample-steps one train_epoch() performs on a non-empty store (the
   /// fixed-batches constant; used for work accounting).
   [[nodiscard]] virtual std::size_t train_samples_per_epoch() const = 0;

@@ -15,6 +15,7 @@
 #include <ctime>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -28,6 +29,10 @@ constexpr double kReconnectInitialS = 0.05;
 constexpr double kReconnectMaxS = 2.0;
 /// PING cadence per connected peer, feeding the RTT estimate.
 constexpr double kPingPeriodS = 0.5;
+/// How long an accepted socket may go without a valid HELLO before it is
+/// closed. A peer sends its HELLO as soon as its connect completes, so
+/// four ping periods only run out on a socket nothing will identify.
+constexpr double kHelloTimeoutS = 4 * kPingPeriodS;
 
 double mono_now() {
   timespec ts{};
@@ -308,7 +313,7 @@ void SocketTransport::close_conn(int fd, double now_s) {
   conns_.erase(fd);
 }
 
-void SocketTransport::accept_ready() {
+void SocketTransport::accept_ready(double now_s) {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -324,7 +329,7 @@ void SocketTransport::accept_ready() {
       ::close(fd);
       continue;
     }
-    conns_.emplace(fd, Conn{});
+    conns_[fd].accepted_s = now_s;
   }
 }
 
@@ -473,6 +478,13 @@ std::size_t SocketTransport::drain_frames(int fd, double now_s) {
 // ===== Event loop =====
 
 void SocketTransport::service_timers(double now_s) {
+  std::vector<int> unidentified;
+  for (const auto& [fd, conn] : conns_) {
+    if (!conn.peer && now_s >= conn.accepted_s + kHelloTimeoutS) {
+      unidentified.push_back(fd);
+    }
+  }
+  for (const int fd : unidentified) close_conn(fd, now_s);
   for (auto& [id, peer] : peers_) {
     if (peer.initiator && peer.fd < 0 && now_s >= peer.next_attempt_s) {
       start_connect(id, now_s);
@@ -490,13 +502,18 @@ void SocketTransport::service_timers(double now_s) {
 std::size_t SocketTransport::poll(int timeout_ms) {
   service_timers(mono_now());
 
-  // Shorten the wait if a reconnect or ping timer lands sooner.
+  // Shorten the wait if a reconnect, ping or HELLO timer lands sooner.
   double deadline = std::numeric_limits<double>::infinity();
   for (const auto& [id, peer] : peers_) {
     if (peer.initiator && peer.fd < 0) {
       deadline = std::min(deadline, peer.next_attempt_s);
     }
     if (peer.identified) deadline = std::min(deadline, peer.next_ping_s);
+  }
+  for (const auto& [fd, conn] : conns_) {
+    if (!conn.peer) {
+      deadline = std::min(deadline, conn.accepted_s + kHelloTimeoutS);
+    }
   }
   int timeout = std::max(timeout_ms, 0);
   if (deadline != std::numeric_limits<double>::infinity()) {
@@ -519,7 +536,7 @@ std::size_t SocketTransport::poll(int timeout_ms) {
     const std::uint32_t flags = events[i].events;
 
     if (fd == listen_fd_) {
-      accept_ready();
+      accept_ready(now_s);
       continue;
     }
     const auto it = conns_.find(fd);

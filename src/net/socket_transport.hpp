@@ -23,11 +23,14 @@
 // Connection policy: for every edge, the lower node id initiates and the
 // higher id accepts — no simultaneous-connect races. Both sides send a
 // HELLO (node id + cluster-config fingerprint) as the first frame; a peer
-// counts as connected only once its HELLO validated. Dialed and accepted
-// sockets are read and identified by the same code. Initiators reconnect
-// with exponential backoff after drops; queued tx frames survive a drop and
-// are re-flushed on the next connection behind its HELLO, rewound to the
-// last whole-frame boundary so the new byte stream never starts mid-frame.
+// counts as connected only once its HELLO validated, and an accepted
+// socket whose HELLO has not validated within four ping periods (2 s) is
+// closed, so a client that never identifies cannot hold a descriptor.
+// Dialed and accepted sockets are read and identified by the same code.
+// Initiators reconnect with exponential backoff after drops; queued tx
+// frames survive a drop and are re-flushed on the next connection behind
+// its HELLO, rewound to the last whole-frame boundary so the new byte
+// stream never starts mid-frame.
 // Frames that fully entered the kernel before a drop may still be lost with
 // the connection — exactly-once delivery across restarts is the job of the
 // protocol-level rejoin/resync (DESIGN.md §6), not the framing layer.
@@ -165,6 +168,9 @@ class SocketTransport {
     /// Bytes received before the peer's HELLO identified the socket,
     /// credited to its ledger then.
     std::uint64_t bytes_rx = 0;
+    /// When an accepted socket was accepted (monotonic): one with no peer
+    /// after the HELLO timeout is closed.
+    double accepted_s = 0.0;
   };
 
   [[nodiscard]] Peer& peer_ref(NodeId id);
@@ -178,7 +184,7 @@ class SocketTransport {
   void drop_connection(NodeId id, double now_s);
   /// Closes `fd`, through drop_connection when a peer owns it.
   void close_conn(int fd, double now_s);
-  void accept_ready();
+  void accept_ready(double now_s);
   /// Records the frame appended to `peer.txbuf` from `frame_start` on: its
   /// size for the rewind mark, and one `frames_tx`.
   void queue_frame(NodeId id, Peer& peer, std::size_t frame_start);
@@ -192,6 +198,7 @@ class SocketTransport {
   /// marks the peer connected.
   void identify(int fd, NodeId id, double now_s);
   void check_hello(const HelloFrame& hello) const;
+  /// Redials, pings, and closes accepted sockets whose HELLO is overdue.
   void service_timers(double now_s);
 
   Options options_;

@@ -783,7 +783,19 @@ struct RejectionCase {
       prelude;
   std::uint64_t Observed::*counter;  // the one that counts it when tolerated
   const char* message;               // the error it raises otherwise
+  SharingMode sharing = SharingMode::kRawData;
+  bool quantize_model_shares = false;
 };
+
+/// `share` with its model blob replaced by `edit(blob)`.
+net::Envelope with_model_blob(const net::Envelope& share,
+                              const std::function<void(Bytes&)>& edit) {
+  net::Envelope bad = share;
+  ProtocolPayload payload = ProtocolPayload::decode(bad.payload);
+  edit(payload.model_blob);
+  bad.payload = SharedBytes::wrap(payload.encode());
+  return bad;
+}
 
 std::vector<RejectionCase> rejection_cases() {
   return {
@@ -862,6 +874,23 @@ std::vector<RejectionCase> rejection_cases() {
          return bad;
        },
        &Observed::tampered, "protocol message from non-neighbor"},
+      {"truncated model blob on a native pair", false,
+       [](Cluster&, std::vector<net::Envelope>& inbox) {
+         return with_model_blob(
+             inbox[0], [](Bytes& blob) { blob.resize(blob.size() / 2); });
+       },
+       &Observed::tampered, "MF model blob length does not match its shape",
+       SharingMode::kModel},
+      {"quantized model blob of another shape on a native pair", false,
+       [](Cluster& c, std::vector<net::Envelope>& inbox) {
+         return with_model_blob(inbox[0], [&c](Bytes& blob) {
+           // "mfq" (length byte + 3 chars), n_users, then n_items.
+           store_le32(blob.data() + 8,
+                      static_cast<std::uint32_t>(c.dataset.n_items + 1));
+         });
+       },
+       &Observed::tampered, "MF model shape mismatch", SharingMode::kModel,
+       /*quantize_model_shares=*/true},
   };
 }
 
@@ -871,6 +900,8 @@ TEST(RexProtocol, RejectionRuleThrowsOrCountsAndLeavesNoTrace) {
       SCOPED_TRACE(std::string(rc.name) +
                    (tolerate ? ", tolerated" : ", fatal"));
       RexConfig config = rc.secure ? raw_dpsgd_sgx() : raw_dpsgd_native();
+      config.sharing = rc.sharing;
+      config.quantize_model_shares = rc.quantize_model_shares;
       config.tolerate_byzantine = tolerate;
       Cluster cluster(3, config);
       Cluster twin(3, config);
@@ -998,6 +1029,18 @@ std::vector<UnpairedRejectionCase> unpaired_rejection_cases() {
          return native_share_as(c, net::MessageKind::kResync);
        },
        "non-resync payload on the resync path"},
+      {"truncated model blob on the resync path", false,
+       [](Cluster& c) {
+         net::Envelope bad = native_share_as(c, net::MessageKind::kResync);
+         ProtocolPayload reply = ProtocolPayload::decode(bad.payload);
+         reply.kind = PayloadKind::kResyncModel;
+         reply.ratings.clear();
+         reply.model_blob = c.hosts[1]->trusted().model().serialize();
+         reply.model_blob.resize(reply.model_blob.size() / 2);
+         bad.payload = SharedBytes::wrap(reply.encode());
+         return bad;
+       },
+       "MF model blob length does not match its shape"},
   };
 }
 

@@ -3,7 +3,7 @@
 //  - HMAC-SHA256: RFC 4231
 //  - HKDF: RFC 5869
 //  - ChaCha20, Poly1305, AEAD: RFC 8439
-//  - X25519: RFC 7748
+//  - X25519: RFC 7748, and the public-key comb against the ladder
 // plus property tests (round-trips, tamper detection, DH commutativity) and
 // path equivalence: on each vector path of the linalg::simd dispatcher
 // (kAvx2, kAvx512) the ChaCha20 keystream, the Poly1305 tag and the sealed
@@ -591,6 +591,46 @@ TEST(X25519, Rfc7748BasePointAlice) {
   const X25519Key alice_public = x25519_public_key(alice_private);
   EXPECT_EQ(hex_encode(BytesView(alice_public.data(), alice_public.size())),
             "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a");
+}
+
+TEST(X25519, Rfc7748BasePointBob) {
+  const auto bob_private = array_from_hex<32>(
+      "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
+  const X25519Key bob_public = x25519_public_key(bob_private);
+  EXPECT_EQ(hex_encode(BytesView(bob_public.data(), bob_public.size())),
+            "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f");
+}
+
+// x25519_public_key runs a fixed-base comb, x25519 the Montgomery ladder:
+// they must agree byte for byte on every scalar.
+X25519Key ladder_public_key(const X25519Key& private_key) {
+  X25519Key nine{};
+  nine[0] = 9;
+  return x25519(private_key, nine);
+}
+
+TEST(X25519, PublicKeyMatchesLadderOnDrbgScalars) {
+  Drbg drbg(2302);
+  for (int i = 0; i < 10000; ++i) {
+    const X25519Key scalar = drbg.next_x25519_private();
+    ASSERT_EQ(x25519_public_key(scalar), ladder_public_key(scalar))
+        << "scalar " << i << ": "
+        << hex_encode(BytesView(scalar.data(), scalar.size()));
+  }
+}
+
+TEST(X25519, PublicKeyMatchesLadderOnEdgeScalars) {
+  // The comb's signed radix-16 digits of each clamped fill: 0x00 makes 63
+  // of them 0 (the identity entry); 0xff and 0xf8 carry through every
+  // position and end on digit 63 = +8; 0x88 carries through every position
+  // with digits -8 and -7; 0x77 makes all but the first +7; 0x08 puts -8
+  // in every even position.
+  for (const std::uint8_t fill : {0x00, 0xff, 0x88, 0x77, 0xf8, 0x08}) {
+    X25519Key scalar{};
+    scalar.fill(fill);
+    EXPECT_EQ(x25519_public_key(scalar), ladder_public_key(scalar))
+        << "fill 0x" << std::hex << int{fill};
+  }
 }
 
 TEST(X25519, Rfc7748SharedSecret) {

@@ -218,6 +218,18 @@ TEST(Mf, DeserializeRejectsGarbage) {
   Rng rng2(8);
   MfModel other_model(other, rng2);
   EXPECT_THROW(model.deserialize(other_model.serialize()), Error);
+
+  // The structural check refuses the same blobs without decoding them,
+  // and a blob of either codec one byte long or short.
+  EXPECT_THROW(model.require_wire_shape(Bytes{1, 2, 3}), Error);
+  EXPECT_THROW(model.require_wire_shape(other_model.serialize()), Error);
+  for (Bytes blob : {model.serialize(), model.serialize_quantized()}) {
+    EXPECT_NO_THROW(model.require_wire_shape(blob));
+    blob.push_back(0);
+    EXPECT_THROW(model.require_wire_shape(blob), Error);
+    blob.resize(blob.size() - 2);
+    EXPECT_THROW(model.require_wire_shape(blob), Error);
+  }
 }
 
 TEST(Mf, QuantizedRoundTripWithinStep) {
@@ -424,6 +436,17 @@ TEST(Dnn, DeserializeRejectsMismatch) {
   Rng rng3(27);
   MfModel mf_model(mf, rng3);
   EXPECT_THROW(model.deserialize(mf_model.serialize()), Error);
+
+  // The structural check refuses the same blobs without decoding them,
+  // and a blob one byte long or short.
+  EXPECT_THROW(model.require_wire_shape(other_model.serialize()), Error);
+  EXPECT_THROW(model.require_wire_shape(mf_model.serialize()), Error);
+  Bytes blob = model.serialize();
+  EXPECT_NO_THROW(model.require_wire_shape(blob));
+  blob.push_back(0);
+  EXPECT_THROW(model.require_wire_shape(blob), Error);
+  blob.resize(blob.size() - 2);
+  EXPECT_THROW(model.require_wire_shape(blob), Error);
 }
 
 TEST(Dnn, MergeMovesWeightsTowardPeer) {

@@ -706,6 +706,7 @@ class FakeScoreModel final : public ml::RecModel {
   void merge(std::span<const ml::MergeSource>, double) override {}
   [[nodiscard]] Bytes serialize() const override { return {}; }
   void deserialize(BytesView) override {}
+  void require_wire_shape(BytesView) const override {}
   [[nodiscard]] std::size_t train_samples_per_epoch() const override {
     return 0;
   }

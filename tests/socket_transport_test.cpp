@@ -2,7 +2,7 @@
 // its refusals and its behaviour under arbitrary TCP segmentation, the
 // netstats ledger, and live loopback exchange between two SocketTransports —
 // including a drop + reconnect, the cluster fingerprint refusal and the
-// accepted-socket HELLO rules.
+// accepted-socket HELLO rules and timeout.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -566,6 +566,57 @@ TEST(SocketTransport, AcceptedSocketOpensWithAValidHelloOrCloses) {
   ASSERT_EQ(::recv(fd, reply.data(), reply.size(), MSG_WAITALL), 23);
   EXPECT_EQ(reply, frame([](Bytes& w) { append_hello(w, 1, 5); }));
   ::close(fd);
+}
+
+TEST(SocketTransport, AcceptedSocketWithoutAHelloClosesAfterTheBound) {
+  // Node 1 listens for node 0. Two raw clients send the first 7 bytes of
+  // node 0's HELLO; one stalls there, the other sends the rest 1 s in,
+  // inside the 2-s bound (four ping periods).
+  Transport transport{2};
+  SocketTransport::Options options;
+  options.self = 1;
+  options.listen_host = "127.0.0.1";
+  options.fingerprint = 5;
+  SocketTransport listener(options, transport);
+  listener.set_deliver([](Envelope) {});
+  listener.add_peer(0, SocketEndpoint{"127.0.0.1", 0}, /*initiator=*/false);
+
+  Bytes hello;
+  append_hello(hello, 0, 5);
+  const Bytes head(hello.begin(), hello.begin() + 7);
+  const double start = poll_now();
+  const int stalled = dial_raw(listener.listen_port(), head);
+  const int late = dial_raw(listener.listen_port(), head);
+  const auto closed = [](int fd) {
+    std::uint8_t byte = 0;
+    const ssize_t n = ::recv(fd, &byte, 1, MSG_DONTWAIT);
+    return n == 0 || (n < 0 && errno == ECONNRESET);
+  };
+  while (poll_now() < start + 1.0) listener.poll(10);
+  EXPECT_FALSE(closed(stalled));
+  ASSERT_EQ(::send(late, hello.data() + head.size(), hello.size() - head.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size() - head.size()));
+
+  while (!closed(stalled)) {
+    listener.poll(10);
+    ASSERT_LT(poll_now(), start + 10.0) << "the stalled socket stayed open";
+  }
+  EXPECT_GE(poll_now() - start, 2.0);
+  ::close(stalled);
+
+  // The late HELLO identified its socket, which outlives the bound: node 1
+  // answered with its own HELLO, and the link counts one connect.
+  EXPECT_TRUE(listener.all_connected());
+  EXPECT_EQ(listener.netstats().peers().at(0).connects, 1u);
+  Bytes reply(hello.size());
+  ASSERT_EQ(::recv(late, reply.data(), reply.size(), MSG_WAITALL),
+            static_cast<ssize_t>(reply.size()));
+  Bytes expected;
+  append_hello(expected, 1, 5);
+  EXPECT_EQ(reply, expected);
+  EXPECT_FALSE(closed(late));
+  ::close(late);
 }
 
 double poll_now() {
