@@ -111,20 +111,32 @@ void TrustedNode::restart_handshake(NodeId peer) {
 
 void TrustedNode::on_attestation_message(NodeId src, BytesView blob) {
   runtime_.record_ecall();
-  const serialize::Json message =
-      serialize::Json::parse(rex::to_string(blob));
-  const std::string type = message.at("type").as_string();
+  // The message is checked whole before any session state moves: a garbage
+  // challenge must not tear down a settled pair. Only neighbors hold
+  // sessions, so the first check also refuses a non-neighbor.
+  const auto found = sessions_.find(src);
+  if (!admitted(found != sessions_.end(), config_.tolerate_byzantine,
+                tampered_rejected_, "no attestation session for this peer")) {
+    return;
+  }
+  serialize::Json message;
+  if (!admitted(
+          [&] {
+            message = serialize::Json::parse(rex::to_string(blob));
+            found->second.require_well_formed(message);
+          },
+          config_.tolerate_byzantine, tampered_rejected_)) {
+    return;
+  }
+  const std::string& type = message.at("type").as_string();
   // A challenge against a settled session is a rejoining peer: its enclave
   // restarted, so the old session key must not be trusted for new traffic.
   // Tear the session down (keeping the old key for in-flight envelopes) and
   // run the handshake fresh (DESIGN.md §6).
-  if (type == "att_challenge") {
-    const auto it = sessions_.find(src);
-    if (it != sessions_.end() &&
-        (it->second.attested() ||
-         it->second.state() == enclave::AttestationState::kFailed)) {
-      replace_session(src);
-    }
+  if (type == "att_challenge" &&
+      (found->second.attested() ||
+       found->second.state() == enclave::AttestationState::kFailed)) {
+    replace_session(src);
   }
   enclave::AttestationSession& sess = session(src);
   const std::optional<serialize::Json> reply = sess.handle(message);

@@ -65,7 +65,9 @@ class TrustedNode {
   /// Handles one attestation message (cleartext JSON). An `att_challenge`
   /// hitting an attested (or failed) session is a peer's rejoin: the old
   /// session is torn down — its key retained for in-flight traffic — and a
-  /// fresh handshake runs (DESIGN.md §6).
+  /// fresh handshake runs (DESIGN.md §6). A message from a non-neighbor or
+  /// one that is not well formed goes through the rejection rule first and
+  /// moves no session state.
   void on_attestation_message(NodeId src, BytesView blob);
 
   [[nodiscard]] bool attested_with(NodeId peer) const;
@@ -128,7 +130,10 @@ class TrustedNode {
   /// one that fails AEAD authentication (a ciphertext or tag bit flipped
   /// in flight) or is too short to carry its sequence number; a payload
   /// that does not decode, is not of its path's kinds, or carries a rating
-  /// outside the catalogue.
+  /// outside the catalogue or a model blob of the wrong shape; an
+  /// attestation message from a node with no session, or one
+  /// AttestationSession::require_well_formed refuses (DESIGN.md §8
+  /// "Byzantine accounting").
   [[nodiscard]] std::uint64_t tampered_rejected() const {
     return tampered_rejected_;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "linalg/matrix.hpp"
 #include "linalg/vector_ops.hpp"
@@ -121,9 +120,12 @@ Dataset generate_synthetic(const SyntheticConfig& config) {
   dataset.n_items = config.n_items;
   dataset.ratings.reserve(total);
 
-  std::unordered_set<std::uint64_t> seen_pairs;
-  seen_pairs.reserve(total * 2);
+  // Users are generated one at a time, so a duplicate (user, item) pair can
+  // only repeat one of the current user's items: one flag per item, cleared
+  // from the user's own ratings once the user is done.
+  std::vector<std::uint8_t> rated(config.n_items, 0);
   for (UserId u = 0; u < config.n_users; ++u) {
+    const std::size_t first = dataset.ratings.size();
     std::size_t produced = 0;
     std::size_t attempts = 0;
     const std::size_t attempt_budget = quota[u] * 64 + 256;
@@ -131,9 +133,8 @@ Dataset generate_synthetic(const SyntheticConfig& config) {
       ++attempts;
       const std::size_t rank = sample_from_cumulative(item_cumulative, rng);
       const ItemId item = item_by_rank[rank];
-      const std::uint64_t pair_key =
-          (static_cast<std::uint64_t>(u) << 32) | item;
-      if (!seen_pairs.insert(pair_key).second) continue;  // duplicate pair
+      if (rated[item] != 0) continue;  // duplicate pair
+      rated[item] = 1;
 
       const float signal =
           linalg::dot(user_factors.row(u), item_factors.row(item));
@@ -144,6 +145,9 @@ Dataset generate_synthetic(const SyntheticConfig& config) {
           rng.normal(0.0, config.noise_stddev));
       dataset.ratings.push_back(Rating{u, item, quantize_rating(raw)});
       ++produced;
+    }
+    for (std::size_t i = first; i < dataset.ratings.size(); ++i) {
+      rated[dataset.ratings[i].item] = 0;
     }
   }
   return dataset;

@@ -18,6 +18,16 @@ constexpr std::uint32_t kDirectionResyncHigherToLower = 3;
 
 std::string hex_of(BytesView b) { return hex_encode(b); }
 
+/// Decodes hex field `key` of `message` into `out`, which it must fill
+/// exactly.
+template <std::size_t N>
+void read_hex(const serialize::Json& message, const std::string& key,
+              std::array<std::uint8_t, N>& out) {
+  const Bytes bytes = hex_decode(message.at(key).as_string());
+  REX_REQUIRE(bytes.size() == N, "attestation " + key + " size mismatch");
+  std::copy(bytes.begin(), bytes.end(), out.begin());
+}
+
 }  // namespace
 
 std::array<std::uint8_t, 32> quote_user_data(
@@ -83,9 +93,7 @@ serialize::Json AttestationSession::make_quote_message() {
 
 bool AttestationSession::verify_peer_quote(const serialize::Json& message) {
   const Bytes quote_bytes = hex_decode(message.at("quote").as_string());
-  const Bytes pub_bytes = hex_decode(message.at("pubkey").as_string());
-  if (pub_bytes.size() != peer_public_.size()) return false;
-  std::copy(pub_bytes.begin(), pub_bytes.end(), peer_public_.begin());
+  read_hex(message, "pubkey", peer_public_);
 
   Quote quote;
   try {
@@ -133,23 +141,33 @@ void AttestationSession::derive_session_key() {
   std::memcpy(session_key_.data(), okm.data(), session_key_.size());
 }
 
+void AttestationSession::require_well_formed(
+    const serialize::Json& message) const {
+  const std::string& type = message.at("type").as_string();
+  REX_REQUIRE(message.at("from").as_number() == static_cast<double>(peer_),
+              "attestation message from unexpected node");
+  REX_REQUIRE(type == "att_challenge" || type == "att_quote",
+              "unknown attestation message type: " + type);
+  decltype(peer_nonce_) nonce{};
+  read_hex(message, "nonce", nonce);
+  if (type == "att_quote") {
+    decltype(peer_public_) pubkey{};
+    read_hex(message, "pubkey", pubkey);
+    (void)hex_decode(message.at("quote").as_string());
+  }
+}
+
 std::optional<serialize::Json> AttestationSession::handle(
     const serialize::Json& message) {
-  const std::string& type = message.at("type").as_string();
-  const NodeId from = static_cast<NodeId>(message.at("from").as_int());
-  REX_REQUIRE(from == peer_, "attestation message from unexpected node");
-
-  if (type == "att_challenge") {
+  require_well_formed(message);
+  if (message.at("type").as_string() == "att_challenge") {
     if (state_ == AttestationState::kChallengeSent && self_ < peer_) {
       // Simultaneous initiation: lower id stays initiator; ignore the
       // peer's challenge (it will answer ours).
       return std::nullopt;
     }
     // Act as responder (possibly abandoning our own initiation).
-    const Bytes nonce = hex_decode(message.at("nonce").as_string());
-    REX_REQUIRE(nonce.size() == peer_nonce_.size(),
-                "attestation nonce size mismatch");
-    std::copy(nonce.begin(), nonce.end(), peer_nonce_.begin());
+    read_hex(message, "nonce", peer_nonce_);
     have_peer_nonce_ = true;
     // Fresh challenge for the quote we expect back.
     drbg_->generate(my_nonce_.data(), my_nonce_.size());
@@ -157,42 +175,35 @@ std::optional<serialize::Json> AttestationSession::handle(
     return make_quote_message();
   }
 
-  if (type == "att_quote") {
-    if (state_ == AttestationState::kChallengeSent) {
-      // Initiator receiving the responder's quote.
-      if (!verify_peer_quote(message)) {
-        state_ = AttestationState::kFailed;
-        return std::nullopt;
-      }
-      // Answer the responder's challenge with our own quote.
-      const Bytes nonce = hex_decode(message.at("nonce").as_string());
-      REX_REQUIRE(nonce.size() == peer_nonce_.size(),
-                  "attestation nonce size mismatch");
-      std::copy(nonce.begin(), nonce.end(), peer_nonce_.begin());
-      have_peer_nonce_ = true;
-      derive_session_key();
-      if (state_ == AttestationState::kFailed) return std::nullopt;
-      state_ = AttestationState::kAttested;
-      return make_quote_message();
-    }
-    if (state_ == AttestationState::kQuoteSent) {
-      // Responder receiving the initiator's quote: final verification.
-      if (!verify_peer_quote(message)) {
-        state_ = AttestationState::kFailed;
-        return std::nullopt;
-      }
-      derive_session_key();
-      if (state_ == AttestationState::kFailed) return std::nullopt;
-      state_ = AttestationState::kAttested;
+  // An att_quote.
+  if (state_ == AttestationState::kChallengeSent) {
+    // Initiator receiving the responder's quote.
+    if (!verify_peer_quote(message)) {
+      state_ = AttestationState::kFailed;
       return std::nullopt;
     }
-    // Unexpected quote (replay or confusion): fail closed.
-    state_ = AttestationState::kFailed;
+    // Answer the responder's challenge with our own quote.
+    read_hex(message, "nonce", peer_nonce_);
+    have_peer_nonce_ = true;
+    derive_session_key();
+    if (state_ == AttestationState::kFailed) return std::nullopt;
+    state_ = AttestationState::kAttested;
+    return make_quote_message();
+  }
+  if (state_ == AttestationState::kQuoteSent) {
+    // Responder receiving the initiator's quote: final verification.
+    if (!verify_peer_quote(message)) {
+      state_ = AttestationState::kFailed;
+      return std::nullopt;
+    }
+    derive_session_key();
+    if (state_ == AttestationState::kFailed) return std::nullopt;
+    state_ = AttestationState::kAttested;
     return std::nullopt;
   }
-
-  REX_REQUIRE(false, "unknown attestation message type: " + type);
-  return std::nullopt;  // unreachable
+  // Unexpected quote (replay or confusion): fail closed.
+  state_ = AttestationState::kFailed;
+  return std::nullopt;
 }
 
 const crypto::ChaChaKey& AttestationSession::session_key() const {

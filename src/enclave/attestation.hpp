@@ -53,8 +53,16 @@ class AttestationSession {
   /// Starts the handshake; returns the challenge message to send.
   [[nodiscard]] serialize::Json initiate();
 
+  /// Throws rex::Error unless handle() can read `message` whole: a JSON
+  /// object whose "type" is att_challenge or att_quote and whose "from" is
+  /// this session's peer, with a 16-byte hex "nonce"; a quote also carries
+  /// a 32-byte hex "pubkey" and a hex "quote". Says nothing of whether the
+  /// quote verifies (a forged quote is well formed and fails closed).
+  void require_well_formed(const serialize::Json& message) const;
+
   /// Feeds one incoming attestation message; returns the reply to send, if
-  /// any. Transitions to kAttested or kFailed as a side effect.
+  /// any. Transitions to kAttested or kFailed as a side effect. Refuses a
+  /// message require_well_formed() refuses, before any state moves.
   [[nodiscard]] std::optional<serialize::Json> handle(
       const serialize::Json& message);
 

@@ -126,8 +126,9 @@ class DnnModel final : public RecModel {
   std::vector<DenseLayer> layers_;  // hidden layers + output layer
   Adam user_emb_optimizer_;
   Adam item_emb_optimizer_;
-  mutable Workspace scratch_;  // reused across samples; models are not
-                               // shared across threads (one model per node)
+  // Reused across samples. Only a model no thread runs is shared across
+  // threads: a scenario's initial model, read by concurrent clone() calls.
+  mutable Workspace scratch_;
 };
 
 }  // namespace rex::ml

@@ -119,7 +119,10 @@ class RecModel {
   virtual void score_items(data::UserId user, std::span<float> out) const;
 };
 
-/// Creates per-node model instances (each node seeds its own init).
+/// Creates per-node model instances. The scenario factory
+/// (sim::prepare_scenario) hands every caller a copy of one model built
+/// from the experiment seed and ignores `init_rng`; only hand-built rigs
+/// seed a node's init from it.
 using ModelFactory =
     std::function<std::unique_ptr<RecModel>(Rng& init_rng)>;
 

@@ -157,6 +157,12 @@ void dump_value(const Json& v, std::string& out) {
   }
 }
 
+/// Arrays and objects nested deeper than this are refused. The parser
+/// recurses once per level, so a peer's 100,000 opening brackets would
+/// otherwise exhaust the stack; the deepest JSON REX reads (the loopback
+/// cluster configs) nests 3 levels.
+constexpr std::size_t kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -174,8 +180,14 @@ class Parser {
     REX_REQUIRE(pos_ < text_.size(), "unexpected end of json input");
     const char c = text_[pos_];
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        REX_REQUIRE(depth_ < kMaxDepth, "json nested deeper than 64 levels");
+        ++depth_;
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't': expect("true"); return Json(true);
       case 'f': expect("false"); return Json(false);
@@ -322,6 +334,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "sim/experiment.hpp"
 
+#include <memory>
+
 #include "support/error.hpp"
 
 namespace rex::sim {
@@ -64,10 +66,12 @@ ScenarioInputs prepare_scenario(const Scenario& scenario) {
   // Decentralized averaging assumes a COMMON model initialization across
   // nodes (D-PSGD's shared x_0; FedAvg practice). Averaging independently
   // initialized networks mixes misaligned hidden features and stalls
-  // convergence — most visibly for the DNN. The factory therefore ignores
-  // the caller's per-node RNG for initialization and derives a fixed
-  // init stream from the experiment seed.
-  const std::uint64_t init_seed = scenario.seed ^ 0x1217C0;
+  // convergence — most visibly for the DNN. The model is therefore built
+  // once, from a fixed init stream derived from the experiment seed, and
+  // the factory hands every caller a copy of it, ignoring the per-node
+  // RNG. Concurrent calls only read the shared model (clone() is const).
+  Rng init_rng(scenario.seed ^ 0x1217C0);
+  std::shared_ptr<const ml::RecModel> initial;
   if (scenario.model == ModelKind::kMf) {
     ml::MfConfig config;
     config.n_users = n_users;
@@ -76,22 +80,15 @@ ScenarioInputs prepare_scenario(const Scenario& scenario) {
     config.learning_rate = scenario.mf_learning_rate;
     config.global_mean = global_mean;
     config.sgd_steps_per_epoch = scenario.mf_sgd_steps_per_epoch;
-    inputs.model_factory = [config, init_seed](Rng& rng) {
-      (void)rng;
-      Rng init_rng(init_seed);
-      return std::make_unique<ml::MfModel>(config, init_rng);
-    };
+    initial = std::make_shared<const ml::MfModel>(config, init_rng);
   } else {
     ml::DnnConfig config;
     config.n_users = n_users;
     config.n_items = n_items;
     config.output_bias_init = global_mean;
-    inputs.model_factory = [config, init_seed](Rng& rng) {
-      (void)rng;
-      Rng init_rng(init_seed);
-      return std::make_unique<ml::DnnModel>(config, init_rng);
-    };
+    initial = std::make_shared<const ml::DnnModel>(config, init_rng);
   }
+  inputs.model_factory = [initial](Rng&) { return initial->clone(); };
   return inputs;
 }
 

@@ -797,8 +797,47 @@ net::Envelope with_model_blob(const net::Envelope& share,
   return bad;
 }
 
+/// `share`'s sender's envelope to node 0 recast as an attestation message
+/// with body `text`: the pair has attested, so a genuine one would be a
+/// rejoin's challenge.
+net::Envelope attestation_message(const net::Envelope& share,
+                                  const std::string& text) {
+  net::Envelope bad = share;
+  bad.kind = net::MessageKind::kAttestation;
+  bad.payload = SharedBytes::wrap(to_bytes(text));
+  return bad;
+}
+
+/// One RejectionCase per attestation message `text` from node 0's first
+/// neighbor (node 1).
+RejectionCase bad_attestation(const char* name, std::string text,
+                              const char* message) {
+  return {name, true,
+          [text](Cluster&, std::vector<net::Envelope>& inbox) {
+            return attestation_message(inbox[0], text);
+          },
+          &Observed::tampered, message};
+}
+
 std::vector<RejectionCase> rejection_cases() {
+  const std::string nonce(32, '0');  // 16 bytes in hex
   return {
+      bad_attestation("attestation message that is not json", "not json",
+                      "invalid json literal"),
+      bad_attestation("attestation message that is an array", "[]",
+                      "json at() on non-object"),
+      bad_attestation("quote with no fields", R"({"type":"att_quote"})",
+                      "json key missing: from"),
+      bad_attestation("challenge naming another sender",
+                      R"({"type":"att_challenge","from":2,"nonce":")" +
+                          nonce + R"("})",
+                      "attestation message from unexpected node"),
+      bad_attestation("attestation message nested 100,000 levels deep",
+                      std::string(100000, '['),
+                      "json nested deeper than 64 levels"),
+      bad_attestation("challenge with a 1-byte nonce on an attested pair",
+                      R"({"type":"att_challenge","from":1,"nonce":"00"})",
+                      "attestation nonce size mismatch"),
       {"tampered ciphertext", true,
        [](Cluster&, std::vector<net::Envelope>& inbox) {
          net::Envelope bad = inbox[0];

@@ -191,6 +191,20 @@ TEST(Json, MalformedInputsThrow) {
   for (const char* text : bad) {
     EXPECT_THROW((void)Json::parse(text), Error) << "input: " << text;
   }
+  // Nesting a peer could send to exhaust the parser's stack.
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  for (const std::string& deep : {std::string(100000, '['), objects}) {
+    EXPECT_THROW((void)Json::parse(deep), Error);
+  }
+}
+
+TEST(Json, NestingStopsAt64Levels) {
+  const auto nested = [](int levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  EXPECT_NO_THROW((void)Json::parse(nested(64)));
+  EXPECT_THROW((void)Json::parse(nested(65)), Error);
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/netstats.hpp"
@@ -413,6 +414,68 @@ TEST(Scenario, PrepareProducesConsistentInputs) {
   Rng rng(1);
   auto model = inputs.model_factory(rng);
   EXPECT_EQ(model->kind(), std::string("mf"));
+}
+
+/// The same config, rebuilt from the init stream prepare_scenario derives
+/// from the experiment seed.
+std::unique_ptr<ml::RecModel> built_directly(const ml::RecModel& like,
+                                             std::uint64_t seed) {
+  Rng init_rng(seed ^ 0x1217C0);
+  if (const auto* mf = dynamic_cast<const ml::MfModel*>(&like)) {
+    return std::make_unique<ml::MfModel>(mf->config(), init_rng);
+  }
+  const auto& dnn = dynamic_cast<const ml::DnnModel&>(like);
+  return std::make_unique<ml::DnnModel>(dnn.config(), init_rng);
+}
+
+TEST(Scenario, FactoryHandsEveryCallerACopyOfOneInitialModel) {
+  struct Shape {
+    const char* name;
+    std::size_t users;
+    std::size_t items;
+    ModelKind model;
+  };
+  for (const Shape& shape :
+       {Shape{"MF, rows up front", 24, 200, ModelKind::kMf},
+        Shape{"MF, rows on demand", 60, 40, ModelKind::kMf},
+        Shape{"DNN", 24, 200, ModelKind::kDnn}}) {
+    SCOPED_TRACE(shape.name);
+    Scenario s = tiny_scenario();
+    s.dataset.n_users = shape.users;
+    s.dataset.n_items = shape.items;
+    s.dataset.n_ratings = 15 * shape.users;
+    s.model = shape.model;
+    const ScenarioInputs inputs = prepare_scenario(s);
+    Rng rng(1);
+    const std::unique_ptr<ml::RecModel> first = inputs.model_factory(rng);
+    const std::unique_ptr<ml::RecModel> second = inputs.model_factory(rng);
+    ASSERT_NE(first.get(), second.get());
+    const Bytes bytes = first->serialize();
+    EXPECT_EQ(second->serialize(), bytes);
+    EXPECT_EQ(built_directly(*first, s.seed)->serialize(), bytes);
+    if (const auto* mf = dynamic_cast<const ml::MfModel*>(first.get())) {
+      EXPECT_EQ(mf->materialized_user_rows(),
+                shape.users <= shape.items ? shape.users : 0u);
+    }
+
+    // Training one copy leaves the model the next caller gets untouched.
+    Rng train_rng(7);
+    first->train_epoch(inputs.split.train, train_rng);
+    ASSERT_NE(first->serialize(), bytes);
+    EXPECT_EQ(inputs.model_factory(rng)->serialize(), bytes);
+
+    // The engine's workers call the factory at once (SimEngine::initialize).
+    std::vector<Bytes> copies(8);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < copies.size(); ++t) {
+      callers.emplace_back([&inputs, &copies, t] {
+        Rng caller_rng(t);
+        copies[t] = inputs.model_factory(caller_rng)->serialize();
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (const Bytes& copy : copies) EXPECT_EQ(copy, bytes);
+  }
 }
 
 }  // namespace
